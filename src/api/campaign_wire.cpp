@@ -213,11 +213,7 @@ void write_campaign_work_order(std::ostream& os,
   os << "exec " << order.threads << " "
      << (order.engine == caft::CampaignEngine::kNaive ? "naive"
                                                       : "incremental")
-     << " "
-     << (order.memo == caft::CampaignMemo::kScratch ? "scratch" : "shared")
-     << " " << order.block << " " << order.memo_capacity << " "
-     << order.memo_shards << " " << (order.adaptive_snapshots ? 1 : 0)
-     << "\n";
+     << " " << order.block << "\n";
   os << "expect " << format_double(order.expect_makespan) << " "
      << format_double(order.expect_horizon) << "\n";
   os << "end\n";
@@ -287,18 +283,7 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
                      "campaign wire: unknown engine '" + engine + "'");
       order.engine = engine == "naive" ? caft::CampaignEngine::kNaive
                                        : caft::CampaignEngine::kIncremental;
-      const std::string memo = next_token(fields, "exec memo");
-      CAFT_CHECK_MSG(memo == "scratch" || memo == "shared",
-                     "campaign wire: unknown memo '" + memo + "'");
-      order.memo = memo == "scratch" ? caft::CampaignMemo::kScratch
-                                     : caft::CampaignMemo::kShared;
       order.block = parse_size(next_token(fields, "exec block"), "block");
-      order.memo_capacity = parse_size(
-          next_token(fields, "exec memo-capacity"), "memo-capacity");
-      order.memo_shards =
-          parse_size(next_token(fields, "exec memo-shards"), "memo-shards");
-      order.adaptive_snapshots =
-          parse_bool(next_token(fields, "exec adaptive"), "adaptive");
     } else if (key == "expect") {
       order.expect_makespan =
           parse_double(next_token(fields, "expect makespan"), "makespan");

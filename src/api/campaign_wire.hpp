@@ -22,8 +22,7 @@
 ///           <theta-lo> <theta-hi> <group-size> <group-prob>
 ///   request <eps|-> <model|-> <validate> <support> <one-to-one>
 ///           <batch-size> <mst>           # "-" = no override
-///   exec <threads> <engine> <memo> <block> <memo-capacity> <memo-shards>
-///        <adaptive>                      # summary-neutral worker knobs
+///   exec <threads> <engine> <block>      # summary-neutral worker knobs
 ///   expect <makespan> <horizon>          # coordinator's schedule, hexfloat;
 ///                                        # the worker re-schedules and must
 ///                                        # reproduce both bit-for-bit
@@ -138,14 +137,10 @@ struct CampaignWorkOrder {
   /// values its own scheduling run resolved, so the worker cannot drift.
   CampaignSpec spec;
   /// Summary-neutral execution knobs the worker honours (its private
-  /// thread/engine/memo policy — same fields as SessionOptions).
+  /// thread/engine/wave policy — same fields as SessionOptions).
   std::size_t threads = 1;
   caft::CampaignEngine engine = caft::CampaignEngine::kIncremental;
-  caft::CampaignMemo memo = caft::CampaignMemo::kShared;
   std::size_t block = 1024;
-  std::size_t memo_capacity = 1 << 15;
-  std::size_t memo_shards = 16;
-  bool adaptive_snapshots = true;
   /// Determinism pins: the coordinator's 0-crash makespan and horizon. A
   /// worker whose re-scheduled values differ bit-for-bit refuses to run
   /// (environment drift would silently corrupt the campaign). NaN = don't

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -16,6 +18,19 @@
 namespace caft {
 
 namespace {
+
+/// Entry cap of the wave executor's record memo. On reaching it the memo is
+/// cleared (clear-on-threshold eviction) and keeps memoising.
+constexpr std::size_t kMemoCapacity = std::size_t{1} << 15;
+
+/// θ-quantization of one crash time: dead-from-start stays 0, never-failing
+/// stays +inf, and a finite positive time snaps to the midpoint of its
+/// width-wide bucket.
+double snap_crash_time(double t, double width) {
+  if (t <= 0.0) return 0.0;
+  if (t == std::numeric_limits<double>::infinity()) return t;
+  return (std::floor(t / width) + 0.5) * width;
+}
 
 ReplayRecord to_record(const CrashResult& result, std::size_t failed_count) {
   ReplayRecord record;
@@ -67,32 +82,17 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       std::chrono::steady_clock::now();
 
   // The prefix-cached engine is built once per campaign and shared
-  // read-only by every worker (each worker owns its Scratch). With a
-  // shared memo, all workers also consult one lock-free result cache. A
+  // read-only by every worker (each worker owns its Scratch). A
   // caller-supplied prebuilt engine (the campaign server's cached replay
   // template) short-circuits construction entirely — same const sharing,
   // same results, by the engine's purity contract.
   const ReplayEngine* engine = options.prebuilt_engine;
   std::unique_ptr<ReplayEngine> owned_engine;
-  std::unique_ptr<SharedReplayMemo> shared_memo;
   if (engine == nullptr && options.engine == CampaignEngine::kIncremental) {
-    ReplayEngineOptions engine_options;
-    engine_options.theta_bucket_width = options.theta_bucket_width;
-    engine_options.exact = options.exact;
-    engine_options.memo_capacity = options.memo_capacity;
-    if (options.adaptive_snapshots)
-      engine_options.snapshot_times = sampler.first_crash_quantiles(
-          engine_options.max_snapshots, schedule.horizon());
-    owned_engine =
-        std::make_unique<ReplayEngine>(schedule, costs, engine_options);
+    owned_engine = std::make_unique<ReplayEngine>(schedule, costs);
     engine = owned_engine.get();
   }
-  if (engine != nullptr && options.memo == CampaignMemo::kShared) {
-    SharedMemoOptions memo_options;
-    memo_options.shards = options.memo_shards;
-    memo_options.capacity = options.memo_capacity;
-    shared_memo = std::make_unique<SharedReplayMemo>(memo_options);
-  }
+  const double width = options.theta_bucket_width;
 
   Rng master(options.seed);
   // Fast-forward to replay `first`: exactly one split per earlier replay —
@@ -105,8 +105,20 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   std::vector<double> times;
   std::vector<double> firsts;
   std::vector<ReplayRecord> records;
-  // One scratch per worker slot, persistent across waves: buffers and the
-  // dead-set memo survive, so steady-state waves allocate nothing.
+  // Groups the memo could not answer, in canonical group order, and the
+  // memo key of each (empty when the group is not memoisable).
+  std::vector<std::size_t> misses;
+  std::vector<std::string> miss_keys;
+  // The record memo: snapped crash-time bytes -> record. A record is a pure
+  // function of its (snapped) scenario, so a hit is bit-identical to a
+  // replay. Single-threaded: it is read while grouping and written after
+  // the join, so its counters are independent of the thread count.
+  std::unordered_map<std::string, ReplayRecord> memo;
+  std::uint64_t memo_lookups = 0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t memo_evictions = 0;
+  // One scratch per worker slot, persistent across waves: buffers survive,
+  // so steady-state waves allocate nothing.
   std::vector<ReplayEngine::Scratch> scratches(threads);
   std::size_t successes = 0;
   std::size_t waves = 0;
@@ -120,12 +132,20 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
 
     // Scenarios are drawn sequentially in global replay order, each from
     // its own split stream: neither the thread schedule, the block size nor
-    // the engine can influence any draw.
+    // the engine can influence any draw. θ-quantization snaps each draw
+    // here, before anything else sees it.
+    const std::size_t m = sampler.proc_count();
     scenarios.clear();
     scenarios.reserve(wave);
     for (std::size_t i = 0; i < wave; ++i) {
       Rng stream = master.split();
       scenarios.push_back(sampler.sample(stream));
+      if (width > 0.0)
+        for (std::size_t p = 0; p < m; ++p) {
+          const ProcId proc(static_cast<ProcId::value_type>(p));
+          scenarios.back().set_crash_time(
+              proc, snap_crash_time(scenarios.back().crash_time(proc), width));
+        }
     }
 
     // Execute the wave sorted by earliest crash time, then by the full
@@ -140,7 +160,6 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     // The sort comparator runs O(wave log wave) times; flatten the crash
     // times into one matrix up front so it compares raw doubles instead of
     // going through the checked per-proc accessor.
-    const std::size_t m = sampler.proc_count();
     times.resize(wave * m);
     firsts.resize(wave);
     for (std::size_t i = 0; i < wave; ++i) {
@@ -176,35 +195,73 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     group_start.push_back(wave);
     const std::size_t groups = group_start.size() - 1;
 
+    // Consult the memo for every memoisable group: quantized scenarios
+    // (a finite bucket space) and dead-from-start ones (crash times all
+    // 0 or +inf: a finite space of C(m, k) dead sets). Hits fill their
+    // records here; only misses are dispatched.
     records.assign(wave, ReplayRecord{});
-    const std::size_t workers = std::min(threads, groups);
+    misses.clear();
+    miss_keys.clear();
+    const auto fill_group = [&](std::size_t g, const ReplayRecord& record) {
+      for (std::size_t j = group_start[g]; j < group_start[g + 1]; ++j)
+        records[order[j]] = record;
+    };
+    for (std::size_t g = 0; g < groups; ++g) {
+      const double* t = times.data() + order[group_start[g]] * m;
+      std::string key;
+      if (width > 0.0 || std::all_of(t, t + m, [](double x) {
+            return x <= 0.0 || x == std::numeric_limits<double>::infinity();
+          })) {
+        key.assign(reinterpret_cast<const char*>(t), m * sizeof(double));
+        ++memo_lookups;
+        const auto hit = memo.find(key);
+        if (hit != memo.end()) {
+          ++memo_hits;
+          fill_group(g, hit->second);
+          continue;
+        }
+      }
+      misses.push_back(g);
+      miss_keys.push_back(std::move(key));
+    }
+
+    const std::size_t workers = std::min(threads, misses.size());
     const auto worker = [&](std::size_t first_slot) {
       ReplayEngine::Scratch& scratch = scratches[first_slot];
-      for (std::size_t g = first_slot; g < groups; g += workers) {
-        const std::size_t begin = group_start[g];
-        const std::size_t end = group_start[g + 1];
-        const std::size_t i = order[begin];
+      for (std::size_t k = first_slot; k < misses.size(); k += workers) {
+        const std::size_t g = misses[k];
+        const std::size_t i = order[group_start[g]];
         // Branch instead of a ternary: the engine path returns a reference
         // (a ternary mixing it with the naive prvalue would force a copy).
         if (engine != nullptr)
-          records[i] = to_record(
-              engine->replay(scenarios[i], scratch, shared_memo.get()),
-              scenarios[i].failed_count());
+          records[i] = to_record(engine->replay(scenarios[i], scratch),
+                                 scenarios[i].failed_count());
         else
           records[i] = to_record(simulate_crashes(schedule, costs,
                                                   scenarios[i]),
                                  scenarios[i].failed_count());
-        for (std::size_t j = begin + 1; j < end; ++j)
-          records[order[j]] = records[i];
+        fill_group(g, records[i]);
       }
     };
-    if (workers <= 1) {
+    if (workers == 1) {
       worker(0);
-    } else {
+    } else if (workers > 1) {
       std::vector<std::thread> pool;
       pool.reserve(workers);
       for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker, t);
       for (std::thread& thread : pool) thread.join();
+    }
+
+    // Insert the misses in canonical group order, with clear-on-threshold
+    // eviction bounding the memo at kMemoCapacity records.
+    for (std::size_t k = 0; k < misses.size(); ++k) {
+      if (miss_keys[k].empty()) continue;
+      if (memo.size() >= kMemoCapacity) {
+        memo.clear();
+        ++memo_evictions;
+      }
+      memo.emplace(std::move(miss_keys[k]),
+                   records[order[group_start[misses[k]]]]);
     }
 
     keep_going = sink(records, wave);
@@ -228,11 +285,8 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       progress.successes = successes;
       const WilsonInterval ci = wilson_interval(successes, done);
       progress.ci_width = ci.high - ci.low;
-      if (shared_memo != nullptr) {
-        const SharedReplayMemo::Stats stats = shared_memo->stats();
-        progress.memo_lookups = stats.lookups;
-        progress.memo_hits = stats.hits;
-      }
+      progress.memo_lookups = memo_lookups;
+      progress.memo_hits = memo_hits;
       options.on_progress(progress);
     }
   }
@@ -246,20 +300,10 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   // in-process backend; the subprocess coordinator folds worker partials
   // itself, so counts are never doubled).
   CampaignTelemetry gathered;
-  if (shared_memo != nullptr) {
-    const SharedReplayMemo::Stats stats = shared_memo->stats();
-    gathered.memo_lookups = stats.lookups;
-    gathered.memo_hits = stats.hits;
-    gathered.memo_evictions = stats.evictions;
-    gathered.memo_entries = stats.entries;
-  } else {
-    for (const ReplayEngine::Scratch& scratch : scratches) {
-      gathered.memo_lookups += scratch.memo_lookups();
-      gathered.memo_hits += scratch.memo_hits();
-      gathered.memo_evictions += scratch.memo_evictions();
-      gathered.memo_entries += scratch.memo_entries();
-    }
-  }
+  gathered.memo_lookups = memo_lookups;
+  gathered.memo_hits = memo_hits;
+  gathered.memo_evictions = memo_evictions;
+  gathered.memo_entries = memo.size();
   if (engine != nullptr) gathered.snapshots = engine->snapshot_count();
   // `done`, not `count`: an early-stopped campaign executed (and folded)
   // only the waves up to its stopping point.
@@ -276,9 +320,9 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
         .set(static_cast<double>(gathered.memo_entries));
     registry.gauge("campaign.snapshots")
         .set(static_cast<double>(gathered.snapshots));
-    if (range_elapsed.count() > 0.0)
+    if (gathered.wall_seconds > 0.0)
       registry.gauge("campaign.replays_per_second")
-          .set(static_cast<double>(count) / range_elapsed.count());
+          .set(static_cast<double>(gathered.replays) / gathered.wall_seconds);
   }
 
   if (telemetry != nullptr) *telemetry = gathered;

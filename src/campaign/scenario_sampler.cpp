@@ -1,7 +1,7 @@
 #include "campaign/scenario_sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -16,26 +16,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// indistinguishable from "never fails" for the replay.
 double censor(double lifetime, double horizon) {
   return lifetime > horizon ? kInf : lifetime;
-}
-
-/// Evaluates `quantile` at count evenly spread probabilities in (0, 1) and
-/// clamps the results to [0, horizon] — the shared shape of every
-/// first_crash_quantiles implementation.
-template <typename Quantile>
-std::vector<double> quantile_grid(std::size_t count, double horizon,
-                                  Quantile&& quantile) {
-  std::vector<double> times;
-  if (count == 0 || !(horizon > 0.0)) return times;
-  times.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double p = static_cast<double>(i + 1) /
-                     static_cast<double>(count + 1);
-    const double t = quantile(p);
-    if (std::isnan(t)) continue;
-    times.push_back(std::clamp(t, 0.0, horizon));
-  }
-  std::sort(times.begin(), times.end());
-  return times;
 }
 
 }  // namespace
@@ -82,14 +62,6 @@ CrashScenario ExponentialLifetimeSampler::sample(Rng& rng) const {
   return CrashScenario(std::move(times));
 }
 
-std::vector<double> ExponentialLifetimeSampler::first_crash_quantiles(
-    std::size_t count, double horizon) const {
-  const double min_rate = rate_ * static_cast<double>(proc_count_);
-  return quantile_grid(count, horizon, [&](double p) {
-    return -std::log1p(-p) / min_rate;
-  });
-}
-
 WeibullLifetimeSampler::WeibullLifetimeSampler(std::size_t proc_count,
                                                double shape, double scale,
                                                double horizon)
@@ -111,15 +83,6 @@ CrashScenario WeibullLifetimeSampler::sample(Rng& rng) const {
   std::vector<double> times(proc_count_);
   for (double& t : times) t = censor(rng.weibull(shape_, scale_), horizon_);
   return CrashScenario(std::move(times));
-}
-
-std::vector<double> WeibullLifetimeSampler::first_crash_quantiles(
-    std::size_t count, double horizon) const {
-  const double min_scale =
-      scale_ * std::pow(static_cast<double>(proc_count_), -1.0 / shape_);
-  return quantile_grid(count, horizon, [&](double p) {
-    return min_scale * std::pow(-std::log1p(-p), 1.0 / shape_);
-  });
 }
 
 CrashWindowSampler::CrashWindowSampler(std::size_t proc_count,
@@ -150,16 +113,6 @@ CrashScenario CrashWindowSampler::sample(Rng& rng) const {
   return scenario;
 }
 
-std::vector<double> CrashWindowSampler::first_crash_quantiles(
-    std::size_t count, double horizon) const {
-  if (failures_ == 0) return {};
-  const double span = theta_hi_ - theta_lo_;
-  const double k = static_cast<double>(failures_);
-  return quantile_grid(count, horizon, [&](double p) {
-    return theta_lo_ + span * (1.0 - std::pow(1.0 - p, 1.0 / k));
-  });
-}
-
 CorrelatedGroupSampler::CorrelatedGroupSampler(std::size_t proc_count,
                                                std::size_t group_size,
                                                double fail_prob,
@@ -184,19 +137,6 @@ std::string CorrelatedGroupSampler::name() const {
   os << "correlated-groups(size=" << group_size_ << ", p=" << fail_prob_
      << ")";
   return os.str();
-}
-
-std::vector<double> CorrelatedGroupSampler::first_crash_quantiles(
-    std::size_t count, double horizon) const {
-  // All mass at 0 (or no mass at all) gives the engine nothing to adapt to.
-  if (theta_hi_ <= 0.0 || fail_prob_ <= 0.0) return {};
-  const double span = theta_hi_ - theta_lo_;
-  const double expected_failing = std::max(
-      1.0, static_cast<double>(group_count()) * fail_prob_);
-  return quantile_grid(count, horizon, [&](double p) {
-    return theta_lo_ +
-           span * (1.0 - std::pow(1.0 - p, 1.0 / expected_failing));
-  });
 }
 
 CrashScenario CorrelatedGroupSampler::sample(Rng& rng) const {

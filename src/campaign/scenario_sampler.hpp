@@ -42,21 +42,6 @@ class ScenarioSampler {
   /// Draws one scenario. Must be a pure function of the Rng stream (no
   /// mutable sampler state) — see the determinism contract above.
   [[nodiscard]] virtual CrashScenario sample(Rng& rng) const = 0;
-
-  /// Density hint for adaptive snapshot placement: `count` non-decreasing
-  /// quantiles of this distribution's *earliest* crash time, clamped to
-  /// [0, horizon]. The replay engine concentrates its prefix snapshots at
-  /// these times, so replays branch close to where crash mass actually
-  /// falls. Empty (the default) means "no useful θ mass above zero" —
-  /// e.g. the paper's dead-from-start model — and the engine falls back to
-  /// uniform event-timeline spacing. Hints are advisory: they never change
-  /// replay results, only prefix reuse, so approximations are fine.
-  [[nodiscard]] virtual std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const {
-    (void)count;
-    (void)horizon;
-    return {};
-  }
 };
 
 /// The paper's model: exactly k distinct processors, uniformly chosen, dead
@@ -86,9 +71,6 @@ class ExponentialLifetimeSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   [[nodiscard]] CrashScenario sample(Rng& rng) const override;
-  /// min of m iid Exp(rate) lifetimes is Exp(m·rate).
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
  private:
   std::size_t proc_count_;
@@ -108,9 +90,6 @@ class WeibullLifetimeSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   [[nodiscard]] CrashScenario sample(Rng& rng) const override;
-  /// min of m iid Weibull(shape, scale) is Weibull(shape, scale·m^(-1/shape)).
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
  private:
   std::size_t proc_count_;
@@ -130,9 +109,6 @@ class CrashWindowSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   [[nodiscard]] CrashScenario sample(Rng& rng) const override;
-  /// min of k iid U[lo, hi] draws: F(t) = 1 - (1 - (t-lo)/(hi-lo))^k.
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
  private:
   std::size_t proc_count_;
@@ -155,9 +131,6 @@ class CorrelatedGroupSampler final : public ScenarioSampler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
   [[nodiscard]] CrashScenario sample(Rng& rng) const override;
-  /// Approximated as the min of E[failing groups] iid U[lo, hi] draws.
-  [[nodiscard]] std::vector<double> first_crash_quantiles(
-      std::size_t count, double horizon) const override;
 
   [[nodiscard]] std::size_t group_count() const;
 

@@ -123,14 +123,10 @@ std::shared_ptr<const ContentCache::CachedSchedule> ContentCache::schedule(
 
 std::shared_ptr<const ContentCache::CachedTemplate>
 ContentCache::replay_template(
-    const std::shared_ptr<const CachedSchedule>& schedule,
-    double theta_bucket_width, bool exact) {
+    const std::shared_ptr<const CachedSchedule>& schedule) {
   // The schedule key already pins instance content, algorithm and request;
-  // the θ-width and exact flag are the only engine options that change
-  // replay results, so together they address the template fully.
-  const std::string key = "t/" + schedule->key + "/" +
-                          wire::format_double(theta_bucket_width) + "/" +
-                          (exact ? "1" : "0");
+  // the exact-only engine has no result-changing option of its own.
+  const std::string key = "t/" + schedule->key;
 
   const std::lock_guard<std::mutex> guard(lock_);
   ++tick_;
@@ -141,11 +137,8 @@ ContentCache::replay_template(
     return it->second.value;
   }
   misses_.add(1);
-  caft::ReplayEngineOptions options;
-  options.theta_bucket_width = theta_bucket_width;
-  options.exact = exact;
   auto engine = std::make_unique<const caft::ReplayEngine>(
-      schedule->result.schedule, schedule->instance->costs(), options);
+      schedule->result.schedule, schedule->instance->costs());
   auto cached = std::make_shared<const CachedTemplate>(
       CachedTemplate{schedule, std::move(engine)});
   if (capacity_ == 0) return cached;

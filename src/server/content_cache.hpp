@@ -7,17 +7,14 @@
 ///
 ///   instance   i/<fnv1a64(bytes)>            -> loaded Instance
 ///   schedule   s/<hash>/<algorithm>/<req>    -> ScheduleResult (+ instance)
-///   template   t/<schedule-key>/<width>/<e>  -> prebuilt ReplayEngine
+///   template   t/<schedule-key>              -> prebuilt ReplayEngine
 ///
 /// where <req> is the shared wire::write_request_line encoding of the
-/// ScheduleRequest (every field that can change a schedule is in it) and
-/// <width>/<e> are the θ-bucket width (hexfloat) and exact flag — the two
-/// ReplayEngineOptions members that change replay *results*. Snapshot
-/// placement and memo capacity are deliberately NOT in the key: they are
-/// speed-only by the engine's purity contract, so a template built here
-/// with default placement replays bit-identically to the adaptively-placed
-/// engine run_campaign would have built. tests/test_campaign_server.cpp
-/// holds the server to exactly that (byte-identical reports on hits).
+/// ScheduleRequest (every field that can change a schedule is in it). The
+/// engine is exact-only and θ-quantization is a scenario transform in the
+/// campaign executor, so one template per schedule serves every spec —
+/// bucketed or not. tests/test_campaign_server.cpp holds the server to
+/// byte-identical reports on hits.
 ///
 /// Lifetimes chain through shared_ptr — a CachedSchedule keeps its
 /// Instance alive, a CachedTemplate keeps its CachedSchedule alive — so
@@ -84,12 +81,9 @@ class ContentCache {
       std::uint64_t instance_hash, const std::string& algorithm,
       const ScheduleRequest& request);
 
-  /// The ReplayEngine template for `schedule` under the given θ-bucket
-  /// width / exact flag, building (with default, uniform snapshot
-  /// placement — see the file comment) on miss.
+  /// The ReplayEngine template for `schedule`, building on miss.
   [[nodiscard]] std::shared_ptr<const CachedTemplate> replay_template(
-      const std::shared_ptr<const CachedSchedule>& schedule,
-      double theta_bucket_width, bool exact);
+      const std::shared_ptr<const CachedSchedule>& schedule);
 
   /// Entries currently held, all families combined.
   [[nodiscard]] std::size_t size() const;

@@ -104,14 +104,9 @@ void CampaignServer::handle(const CampaignRequest& request,
         cache_.schedule(instance, content_hash, algorithm, spec.request);
     ScheduleResult result = cached->result;  // the run carries its own copy
 
-    // The same width derivation campaign_options uses — the template cache
-    // key must match what the campaign will actually replay with.
-    const double width =
-        spec.exact ? 0.0
-                   : spec.theta_bucket_width(result.schedule.horizon());
     std::shared_ptr<const ContentCache::CachedTemplate> replay_template;
     if (options_.session.engine == caft::CampaignEngine::kIncremental)
-      replay_template = cache_.replay_template(cached, width, spec.exact);
+      replay_template = cache_.replay_template(cached);
 
     SessionOptions session_options = options_.session;
     if (request.progress) {
@@ -159,10 +154,11 @@ void CampaignServer::accept_loop() {
     std::thread([this, connection = std::move(stream)]() mutable {
       serve(*connection, *connection);
       connection.reset();  // flush + close before the count drops
-      {
-        const std::lock_guard<std::mutex> guard(connections_lock_);
-        --open_connections_;
-      }
+      // Notify under the lock: once stop() sees the count at zero it may
+      // destroy the server, so this detached thread must not touch the
+      // condition variable after releasing the mutex.
+      const std::lock_guard<std::mutex> guard(connections_lock_);
+      --open_connections_;
       connections_done_.notify_all();
     }).detach();
   }

@@ -472,18 +472,17 @@ TEST(SessionApi, ReportsAreExecutionPolicyIndependent) {
   SessionOptions one_thread_naive;
   one_thread_naive.threads = 1;
   one_thread_naive.engine = caft::CampaignEngine::kNaive;
-  SessionOptions four_threads_scratch;
-  four_threads_scratch.threads = 4;
-  four_threads_scratch.memo = caft::CampaignMemo::kScratch;
-  SessionOptions four_threads_shared;
-  four_threads_shared.threads = 4;
+  SessionOptions four_threads;
+  four_threads.threads = 4;
+  SessionOptions two_threads_small_waves;
+  two_threads_small_waves.threads = 2;
+  two_threads_small_waves.block = 64;
 
   const CampaignReport a =
       Session(one_thread_naive).evaluate(instance, spec);
-  const CampaignReport b =
-      Session(four_threads_scratch).evaluate(instance, spec);
+  const CampaignReport b = Session(four_threads).evaluate(instance, spec);
   const CampaignReport c =
-      Session(four_threads_shared).evaluate(instance, spec);
+      Session(two_threads_small_waves).evaluate(instance, spec);
   expect_summaries_identical(a.runs[0].summary, b.runs[0].summary);
   expect_summaries_identical(a.runs[0].summary, c.runs[0].summary);
 }
@@ -510,24 +509,23 @@ TEST(SessionApi, EvaluateBatchMatchesPerInstanceEvaluate) {
   }
 }
 
-TEST(SessionApi, RejectsInertThetaBucketCombinations) {
+TEST(SessionApi, ThetaBucketsWorkUnderEitherEngine) {
+  // Quantization snaps scenarios before any engine sees them, so the naive
+  // oracle and the incremental engine agree on bucketed campaigns too.
   const Instance instance = random_instance(41, 8, 1.0, 1);
   CampaignSpec spec;
   spec.algorithms = {"caft"};
-  spec.replays = 10;
+  spec.sampler = SamplerSpec::window(2, 0.0, 500.0);
+  spec.replays = 200;
   spec.theta_buckets = 16;
 
   SessionOptions naive;
   naive.engine = caft::CampaignEngine::kNaive;
-  EXPECT_THROW((void)Session(naive).evaluate(instance, spec),
-               caft::CheckError);
-  SessionOptions scratch;
-  scratch.memo = caft::CampaignMemo::kScratch;
-  EXPECT_THROW((void)Session(scratch).evaluate(instance, spec),
-               caft::CheckError);
-  // --exact opts out of quantization, so any engine/memo is legal again.
-  spec.exact = true;
-  EXPECT_NO_THROW((void)Session(naive).evaluate(instance, spec));
+  const CampaignReport a = Session(naive).evaluate(instance, spec);
+  const CampaignReport b = Session().evaluate(instance, spec);
+  EXPECT_GT(a.runs[0].theta_bucket_width, 0.0);
+  EXPECT_EQ(a.runs[0].theta_bucket_width, b.runs[0].theta_bucket_width);
+  expect_summaries_identical(a.runs[0].summary, b.runs[0].summary);
 }
 
 TEST(SessionApi, ThetaBucketWidthRejectsDegenerateHorizons) {

@@ -1,6 +1,8 @@
 // Tests for the Monte-Carlo fault-injection campaign (campaign/): scenario
-// samplers, streaming statistics (Wilson interval, P² quantiles), and the
-// parallel executor's determinism and Proposition 5.2 guarantee.
+// samplers, streaming statistics (Wilson interval, P² quantiles), the
+// parallel executor's determinism and Proposition 5.2 guarantee. The
+// θ-quantization transform and the record memo are covered by
+// test_shared_memo.cpp.
 #include "campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -10,14 +12,16 @@
 #include <cstddef>
 #include <limits>
 #include <sstream>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "algo/caft.hpp"
 #include "algo/ftsa.hpp"
 #include "campaign/scenario_sampler.hpp"
 #include "campaign/stats.hpp"
+#include "dag/generators.hpp"
 #include "helpers.hpp"
+#include "obs/obs.hpp"
 
 namespace caft {
 namespace {
@@ -466,6 +470,30 @@ TEST(Campaign, RejectsMismatchedSamplerSize) {
   const UniformKSampler sampler(9, 1);
   EXPECT_THROW(run_campaign(schedule, *s.costs, sampler, CampaignOptions{}),
                CheckError);
+}
+
+
+TEST(CampaignObs, ReplaysPerSecondGaugeCountsExecutedReplays) {
+  // An early-stopped campaign executes only a prefix of its budget; the
+  // throughput gauge must divide what ran by how long it took.
+  const Scenario s = random_setup(63, 8, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const UniformKSampler sampler(8, 1);
+  CampaignOptions options;
+  options.replays = 200000;
+  options.block = 256;
+  options.target_ci_width = 0.2;
+  obs::Registry& registry = obs::Registry::global();
+  registry.set_enabled(true);
+  CampaignTelemetry telemetry;
+  (void)run_campaign(schedule, *s.costs, sampler, options, &telemetry);
+  const double gauge =
+      registry.snapshot().gauge_value("campaign.replays_per_second");
+  registry.set_enabled(false);
+  ASSERT_LT(telemetry.replays, options.replays);  // really stopped early
+  ASSERT_GT(telemetry.wall_seconds, 0.0);
+  EXPECT_EQ(gauge, static_cast<double>(telemetry.replays) /
+                       telemetry.wall_seconds);
 }
 
 }  // namespace

@@ -43,11 +43,7 @@ CampaignWorkOrder sample_order() {
   order.spec.request.minimize_start_time = false;
   order.threads = 3;
   order.engine = caft::CampaignEngine::kNaive;
-  order.memo = caft::CampaignMemo::kScratch;
   order.block = 512;
-  order.memo_capacity = 1 << 10;
-  order.memo_shards = 4;
-  order.adaptive_snapshots = false;
   order.expect_makespan = 123.4567891011;
   order.expect_horizon = 200.000000000001;
   return order;
@@ -96,11 +92,7 @@ TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   EXPECT_EQ(back.spec.request.minimize_start_time, false);
   EXPECT_EQ(back.threads, order.threads);
   EXPECT_EQ(back.engine, order.engine);
-  EXPECT_EQ(back.memo, order.memo);
   EXPECT_EQ(back.block, order.block);
-  EXPECT_EQ(back.memo_capacity, order.memo_capacity);
-  EXPECT_EQ(back.memo_shards, order.memo_shards);
-  EXPECT_EQ(back.adaptive_snapshots, order.adaptive_snapshots);
   EXPECT_EQ(back.expect_makespan, order.expect_makespan);  // bit-exact
   EXPECT_EQ(back.expect_horizon, order.expect_horizon);
 }

@@ -66,11 +66,12 @@ TEST(CliArgs, GetSizeRejectsMalformedCounts) {
 }
 
 TEST(CliArgs, GetChoiceValidatesAgainstSet) {
-  const CliArgs args = make_args({"--memo", "shared", "--engine", "fast"});
-  EXPECT_EQ(args.get_choice("memo", "scratch", {"shared", "scratch"}),
-            "shared");
-  EXPECT_EQ(args.get_choice("absent", "scratch", {"shared", "scratch"}),
-            "scratch");
+  const CliArgs args = make_args({"--exec", "subprocess", "--engine", "fast"});
+  EXPECT_EQ(args.get_choice("exec", "in-process", {"in-process", "subprocess"}),
+            "subprocess");
+  EXPECT_EQ(
+      args.get_choice("absent", "in-process", {"in-process", "subprocess"}),
+      "in-process");
   try {
     (void)args.get_choice("engine", "incremental", {"incremental", "naive"});
     FAIL() << "expected CheckError";

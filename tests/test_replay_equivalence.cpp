@@ -88,8 +88,8 @@ Schedule schedule_with(const std::string& algo, const Scenario& s,
 
 TEST(ReplayEquivalence, RandomTriplesAcrossAlgorithmsAndSamplers) {
   // 6 instances x 4 schedules x 11 scenarios = 264 triples, all checked
-  // byte-for-byte. One Scratch is reused throughout, so scratch reuse (and
-  // the dead-set memo behind it) is exercised across schedules too.
+  // byte-for-byte. One Scratch is reused throughout, so scratch reuse is
+  // exercised across schedules too.
   std::size_t triples = 0;
   ReplayEngine::Scratch scratch;
   const std::vector<std::uint64_t> seeds = {11, 23, 37, 51, 73, 97};
@@ -247,9 +247,9 @@ TEST(ReplayEquivalence, SparseTopologyWithRouters) {
         "star hub plus p" + std::to_string(p));
 }
 
-TEST(ReplayEquivalence, MemoisedRepeatsStayIdentical) {
-  // The dead-set memo must return the same result object content on every
-  // hit, and a Scratch rebound to another engine must not leak results.
+TEST(ReplayEquivalence, RepeatsAcrossEnginesStayIdentical) {
+  // Repeated replays must return the same result content every time, and
+  // a Scratch alternating between engines must not leak state.
   const Scenario s1 = test::random_setup(31, 6, 1.0);
   const Scenario s2 = test::random_setup(32, 6, 1.0);
   const Schedule sched1 = schedule_with("caft", s1, 1, CommModelKind::kOnePort);
@@ -260,9 +260,9 @@ TEST(ReplayEquivalence, MemoisedRepeatsStayIdentical) {
   const CrashScenario crash = CrashScenario::at_zero(6, {ProcId(3)});
   for (int round = 0; round < 3; ++round) {
     check_triple(sched1, *s1.costs, engine1, scratch, crash,
-                 "memo round " + std::to_string(round) + " engine1");
+                 "round " + std::to_string(round) + " engine1");
     check_triple(sched2, *s2.costs, engine2, scratch, crash,
-                 "memo round " + std::to_string(round) + " engine2");
+                 "round " + std::to_string(round) + " engine2");
   }
 }
 

@@ -1,37 +1,37 @@
-// Differential and regression suite for the campaign-wide SharedReplayMemo
-// (sim/replay_engine.hpp) and its θ-quantized keys:
+// Tests for the campaign executor's shared record memo and its θ-quantization
+// transform (campaign/campaign.cpp, run_replay_range):
 //
-//  - triples naive / incremental+scratch-memo / incremental+shared-memo must
-//    fold to *byte-identical* campaign summaries across samplers and
-//    1/2/4/8 worker threads (memo placement is unobservable);
-//  - θ-quantization must be exactly the documented approximation: a
-//    quantized replay equals the bit-exact replay of its bucket-midpoint
-//    representative, drift shrinks with the bucket width, and the exactness
-//    escape hatch restores naive equivalence;
-//  - both memo flavours must stay under their entry caps over campaigns far
-//    longer than the cap (clear-on-threshold eviction);
-//  - adaptive snapshot spacing must never change replay results.
-#include "sim/replay_engine.hpp"
+//  - naive and incremental engines fold to byte-identical summaries across
+//    samplers and 1/2/4/8 worker threads while the memo answers repeats from
+//    earlier waves (memo hits are unobservable);
+//  - θ-quantization is exactly the documented scenario transform: a bucketed
+//    campaign equals an exact naive campaign over draws snapped by hand,
+//    drift shrinks with the bucket width, and CampaignSpec::exact is the
+//    escape hatch;
+//  - the memo counters are exact at every thread count and the memo stays
+//    under its entry cap over 10^6 replays (clear-on-threshold eviction).
+#include "campaign/campaign.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/caft.hpp"
-#include "campaign/campaign.hpp"
+#include "api/session.hpp"
 #include "campaign/scenario_sampler.hpp"
 #include "dag/generators.hpp"
 #include "helpers.hpp"
-#include "sim/crash_sim.hpp"
 
 namespace caft {
 namespace {
 
 using test::Scenario;
+using test::random_setup;
 
 Schedule caft_for(const Scenario& s, std::size_t eps) {
   CaftOptions options;
@@ -59,8 +59,7 @@ void expect_summaries_identical(const CampaignSummary& a,
   for (std::size_t i = 0; i < a.latency_quantiles.size(); ++i) {
     const double av = a.latency_quantiles[i].value;
     const double bv = b.latency_quantiles[i].value;
-    // NaN marks "no successful replay yet" — identical summaries may both
-    // carry it, and NaN != NaN under IEEE comparison.
+    // NaN marks "no successful replay yet"; NaN != NaN under IEEE.
     if (std::isnan(av) || std::isnan(bv))
       EXPECT_EQ(std::isnan(av), std::isnan(bv));
     else
@@ -68,184 +67,181 @@ void expect_summaries_identical(const CampaignSummary& a,
   }
 }
 
-void expect_results_identical(const CrashResult& a, const CrashResult& b,
+void expect_records_identical(const std::vector<ReplayRecord>& a,
+                              const std::vector<ReplayRecord>& b,
                               const std::string& context) {
   SCOPED_TRACE(context);
-  EXPECT_EQ(a.success, b.success);
-  EXPECT_EQ(a.latency, b.latency);
-  EXPECT_EQ(a.delivered_messages, b.delivered_messages);
-  EXPECT_EQ(a.order_relaxations, b.order_relaxations);
-  EXPECT_EQ(a.order_deadlock, b.order_deadlock);
-  ASSERT_EQ(a.finish.size(), b.finish.size());
-  for (std::size_t t = 0; t < a.finish.size(); ++t) {
-    ASSERT_EQ(a.finish[t].size(), b.finish[t].size());
-    for (std::size_t r = 0; r < a.finish[t].size(); ++r) {
-      EXPECT_EQ(a.completed[t][r], b.completed[t][r]);
-      EXPECT_EQ(a.finish[t][r], b.finish[t][r]);
-    }
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].success, b[i].success) << "replay " << i;
+    ASSERT_EQ(a[i].order_deadlock, b[i].order_deadlock) << "replay " << i;
+    ASSERT_EQ(a[i].latency, b[i].latency) << "replay " << i;
+    ASSERT_EQ(a[i].delivered_messages, b[i].delivered_messages)
+        << "replay " << i;
+    ASSERT_EQ(a[i].order_relaxations, b[i].order_relaxations)
+        << "replay " << i;
+    ASSERT_EQ(a[i].failed_count, b[i].failed_count) << "replay " << i;
   }
 }
 
-// ------------------------------------------- campaign-level differentials
+/// The documented quantization rule, written out independently of the
+/// executor: a finite positive crash time moves to its bucket midpoint.
+double snapped(double t, double width) {
+  if (!(t > 0.0) || std::isinf(t)) return t;
+  return (std::floor(t / width) + 0.5) * width;
+}
 
-TEST(SharedMemo, CampaignTriplesIdenticalAcrossSamplersAndThreads) {
-  // naive vs incremental+scratch vs incremental+shared, across four
-  // scenario distributions and 1/2/4/8 worker threads, folded summaries
-  // byte-identical throughout. This is the tentpole's determinism gate:
-  // sharing one memo across workers must be unobservable in the summary.
-  const Scenario s = test::random_setup(41, 8, 1.0);
+/// Draws from `base`, then snaps every crash time by hand.
+class PreSnappedSampler final : public ScenarioSampler {
+ public:
+  PreSnappedSampler(const ScenarioSampler& base, double width)
+      : base_(base), width_(width) {}
+
+  [[nodiscard]] std::string name() const override { return base_.name(); }
+  [[nodiscard]] std::size_t proc_count() const override {
+    return base_.proc_count();
+  }
+  [[nodiscard]] CrashScenario sample(Rng& rng) const override {
+    CrashScenario scenario = base_.sample(rng);
+    for (std::size_t p = 0; p < proc_count(); ++p) {
+      const ProcId proc(static_cast<ProcId::value_type>(p));
+      scenario.set_crash_time(proc,
+                              snapped(scenario.crash_time(proc), width_));
+    }
+    return scenario;
+  }
+
+ private:
+  const ScenarioSampler& base_;
+  double width_;
+};
+
+TEST(CampaignRecordMemo, EnginesAgreeAcrossSamplersAndThreads) {
+  // naive vs incremental, across four scenario distributions and 1/2/4/8
+  // worker threads, with several waves so the record memo answers repeats
+  // from earlier waves: folded summaries byte-identical throughout.
+  const Scenario s = random_setup(41, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const double horizon = schedule.horizon();
 
   std::vector<std::unique_ptr<ScenarioSampler>> samplers;
   samplers.push_back(std::make_unique<UniformKSampler>(8, 2));
-  samplers.push_back(
-      std::make_unique<CrashWindowSampler>(8, 2, 0.0, horizon));
+  samplers.push_back(std::make_unique<CrashWindowSampler>(8, 2, 0.0, horizon));
   samplers.push_back(std::make_unique<ExponentialLifetimeSampler>(
       8, 2.0 / horizon, horizon));
   samplers.push_back(std::make_unique<CorrelatedGroupSampler>(
       8, 3, 0.4, 0.0, horizon * 0.5));
-
   for (const auto& sampler : samplers) {
-    CampaignOptions base;
-    base.replays = 400;
-    base.block = 64;  // several waves, so memos persist across waves
-
-    CampaignOptions naive = base;
-    naive.engine = CampaignEngine::kNaive;
+    CampaignOptions naive;
+    naive.replays = 400;
+    naive.block = 64;
     naive.threads = 2;
+    naive.engine = CampaignEngine::kNaive;
     const CampaignSummary reference =
         run_campaign(schedule, *s.costs, *sampler, naive);
-
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      for (const CampaignMemo memo :
-           {CampaignMemo::kScratch, CampaignMemo::kShared}) {
-        CampaignOptions incremental = base;
-        incremental.engine = CampaignEngine::kIncremental;
-        incremental.threads = threads;
-        incremental.memo = memo;
-        CampaignTelemetry telemetry;
-        const CampaignSummary summary = run_campaign(
-            schedule, *s.costs, *sampler, incremental, &telemetry);
-        expect_summaries_identical(
-            reference, summary,
-            sampler->name() + " threads " + std::to_string(threads) +
-                (memo == CampaignMemo::kShared ? " shared" : " scratch"));
-      }
+      CampaignOptions incremental = naive;
+      incremental.engine = CampaignEngine::kIncremental;
+      incremental.threads = threads;
+      expect_summaries_identical(
+          reference, run_campaign(schedule, *s.costs, *sampler, incremental),
+          sampler->name() + " threads " + std::to_string(threads));
     }
   }
 }
 
-TEST(SharedMemo, EngineLevelTriplesMatchNaive) {
-  // Below the executor: the same scenario replayed through simulate_crashes,
-  // the engine with a Scratch memo, and the engine with a SharedReplayMemo
-  // must agree field for field — including on repeats (memo hits).
-  const Scenario s = test::random_setup(43, 8, 5.0);
-  const Schedule schedule = caft_for(s, 1);
-  const ReplayEngine engine(schedule, *s.costs);
-  SharedReplayMemo shared;
-  ReplayEngine::Scratch scratch_plain;
-  ReplayEngine::Scratch scratch_shared;
-
-  const UniformKSampler uniform(8, 2);
-  const CrashWindowSampler window(8, 1, 0.0, schedule.horizon());
-  Rng rng(4310);
-  for (int draw = 0; draw < 30; ++draw) {
-    for (const ScenarioSampler* sampler :
-         std::vector<const ScenarioSampler*>{&uniform, &window}) {
-      const CrashScenario scenario = sampler->sample(rng);
-      const CrashResult naive = simulate_crashes(schedule, *s.costs, scenario);
-      const CrashResult& via_scratch = engine.replay(scenario, scratch_plain);
-      const CrashResult& via_shared =
-          engine.replay(scenario, scratch_shared, &shared);
-      const std::string context =
-          sampler->name() + " draw " + std::to_string(draw);
-      expect_results_identical(naive, via_scratch, context + " scratch");
-      expect_results_identical(naive, via_shared, context + " shared");
-    }
-  }
-  // The uniform draws hit the shared memo on repeats.
-  EXPECT_GT(shared.stats().hits, 0u);
-}
-
-// ------------------------------------------------------- θ-quantization
-
-TEST(SharedMemo, QuantizedReplayEqualsCanonicalRepresentative) {
-  // The quantization contract, verified literally: with bucket width w, a
-  // crash-at-θ replay through the shared memo must be bit-identical to the
-  // *exact* replay of the scenario with every finite positive crash time
-  // snapped to its bucket midpoint.
-  const Scenario s = test::random_setup(47, 6, 1.0);
+TEST(CampaignQuantization, BucketedCampaignEqualsNaiveOverPreSnappedDraws) {
+  // The quantization contract, verified literally: a bucketed campaign
+  // replays exactly the snapped scenarios, so its record stream equals an
+  // exact naive campaign over draws snapped by hand — record for record,
+  // across several waves (the record memo answers repeats).
+  const Scenario s = random_setup(47, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const double horizon = schedule.horizon();
   const double width = horizon / 16.0;
 
-  ReplayEngineOptions quantized_options;
-  quantized_options.theta_bucket_width = width;
-  const ReplayEngine quantized(schedule, *s.costs, quantized_options);
-  const ReplayEngine exact(schedule, *s.costs);
-  SharedReplayMemo shared;
-  ReplayEngine::Scratch qs;
-  ReplayEngine::Scratch es;
-
-  const CrashWindowSampler window(6, 2, 0.0, horizon);
-  Rng rng(470);
-  for (int draw = 0; draw < 40; ++draw) {
-    const CrashScenario scenario = window.sample(rng);
-    CrashScenario canonical = CrashScenario::none(6);
-    for (std::size_t p = 0; p < 6; ++p) {
-      const double t =
-          scenario.crash_time(ProcId(static_cast<ProcId::value_type>(p)));
-      if (std::isfinite(t) && t > 0.0)
-        canonical.set_crash_time(
-            ProcId(static_cast<ProcId::value_type>(p)),
-            (std::floor(t / width) + 0.5) * width);
-    }
-    const CrashResult& via_quantized = quantized.replay(scenario, qs, &shared);
-    const CrashResult via_exact = exact.replay(canonical, es);
-    expect_results_identical(via_exact, via_quantized,
-                             "draw " + std::to_string(draw));
+  std::vector<std::unique_ptr<ScenarioSampler>> samplers;
+  samplers.push_back(std::make_unique<CrashWindowSampler>(8, 2, 0.0, horizon));
+  samplers.push_back(std::make_unique<ExponentialLifetimeSampler>(
+      8, 2.0 / horizon, horizon));
+  samplers.push_back(std::make_unique<CorrelatedGroupSampler>(
+      8, 3, 0.4, 0.0, horizon * 0.5));
+  for (const auto& sampler : samplers) {
+    CampaignOptions bucketed;
+    bucketed.block = 64;
+    bucketed.threads = 3;
+    bucketed.theta_bucket_width = width;
+    CampaignOptions naive;
+    naive.block = 100;
+    naive.threads = 2;
+    naive.engine = CampaignEngine::kNaive;
+    const PreSnappedSampler snapped_sampler(*sampler, width);
+    expect_records_identical(
+        run_campaign_block(schedule, *s.costs, snapped_sampler, naive, 0, 400),
+        run_campaign_block(schedule, *s.costs, *sampler, bucketed, 0, 400),
+        sampler->name());
   }
 }
 
-TEST(SharedMemo, QuantizationDriftShrinksWithBucketWidth) {
-  // Replay results are step functions of θ (the state only changes when a
-  // crash time crosses an op boundary), so a quantized replay can differ
-  // from the exact one only when such a boundary separates θ from its
-  // bucket midpoint — a fraction of draws that shrinks linearly with the
-  // width. At ε-covered crash counts (k = 1 <= eps), success itself can
-  // never drift: the schedule survives both the draw and its representative.
-  const Scenario s = test::random_setup(53, 8, 1.0);
+TEST(CampaignQuantization, NaiveAndIncrementalBucketedAreByteIdentical) {
+  // Quantization is a scenario transform, so the naive oracle sees the same
+  // snapped scenarios as the incremental engine.
+  const Scenario s = random_setup(48, 8, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const CrashWindowSampler sampler(8, 2, 0.0, schedule.horizon());
+  CampaignOptions incremental;
+  incremental.block = 64;
+  incremental.threads = 2;
+  incremental.theta_bucket_width = schedule.horizon() / 24.0;
+  CampaignOptions naive = incremental;
+  naive.engine = CampaignEngine::kNaive;
+  expect_records_identical(
+      run_campaign_block(schedule, *s.costs, sampler, naive, 0, 500),
+      run_campaign_block(schedule, *s.costs, sampler, incremental, 0, 500),
+      "records");
+}
+
+TEST(CampaignQuantization, DriftShrinksWithBucketWidth) {
+  // Replay results are step functions of θ, so a snapped replay differs
+  // from the exact one only when an op boundary separates θ from its
+  // bucket midpoint — a fraction of draws that shrinks with the width. At
+  // ε-covered crash counts (k = 1 <= eps) success itself never drifts.
+  const Scenario s = random_setup(53, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const double horizon = schedule.horizon();
-  const ReplayEngine exact(schedule, *s.costs);
+  const CrashWindowSampler sampler(8, 1, 0.0, horizon);
+  const std::size_t draws = 300;
+  CampaignOptions exact;
+  exact.seed = 5300;
+  exact.threads = 2;
+  const std::vector<ReplayRecord> truth =
+      run_campaign_block(schedule, *s.costs, sampler, exact, 0, draws);
 
-  const CrashWindowSampler window(8, 1, 0.0, horizon);
-  const int draws = 300;
   std::vector<std::size_t> differing;
   for (const double width : {horizon / 16.0, horizon / 4096.0}) {
-    ReplayEngineOptions options;
-    options.theta_bucket_width = width;
-    const ReplayEngine quantized(schedule, *s.costs, options);
-    SharedReplayMemo shared;
-    ReplayEngine::Scratch qs;
-    ReplayEngine::Scratch es;
-    Rng rng(5300);
+    // Each snapped crash time stays within width/2 of its draw.
+    Rng master(exact.seed);
+    for (std::size_t i = 0; i < draws; ++i) {
+      Rng stream = master.split();
+      const CrashScenario scenario = sampler.sample(stream);
+      for (std::size_t p = 0; p < 8; ++p) {
+        const double t = scenario.crash_time(ProcId(p));
+        if (std::isfinite(t)) {
+          ASSERT_LE(std::abs(snapped(t, width) - t), width / 2.0);
+        }
+      }
+    }
+    CampaignOptions bucketed = exact;
+    bucketed.theta_bucket_width = width;
+    const std::vector<ReplayRecord> approx =
+        run_campaign_block(schedule, *s.costs, sampler, bucketed, 0, draws);
     std::size_t differs = 0;
-    for (int draw = 0; draw < draws; ++draw) {
-      const CrashScenario scenario = window.sample(rng);
-      const CrashResult& approx = quantized.replay(scenario, qs, &shared);
-      const CrashResult& truth = exact.replay(scenario, es);
-      ASSERT_TRUE(truth.success);
-      EXPECT_TRUE(approx.success);  // k=1 <= eps: survival cannot drift
-      if (approx.latency != truth.latency) ++differs;
+    for (std::size_t i = 0; i < draws; ++i) {
+      ASSERT_TRUE(truth[i].success);
+      EXPECT_TRUE(approx[i].success);  // k=1 <= eps: survival cannot drift
+      if (approx[i].latency != truth[i].latency) ++differs;
     }
     differing.push_back(differs);
-    // Coarse buckets over a keyspace of m × buckets keys must start
-    // hitting within a few hundred draws.
-    if (width == horizon / 16.0) {
-      EXPECT_GT(shared.stats().hits, 0u);
-    }
   }
   // 256× finer buckets: the differing fraction must collapse (and stay
   // small in absolute terms).
@@ -253,44 +249,38 @@ TEST(SharedMemo, QuantizationDriftShrinksWithBucketWidth) {
   EXPECT_LE(differing[1], draws / 20);
 }
 
-TEST(SharedMemo, ExactnessEscapeHatchDisablesQuantizedHits) {
-  // options.exact must restore bit-exact naive equivalence even with a
-  // bucket width configured and a shared memo attached.
-  const Scenario s = test::random_setup(59, 6, 1.0);
-  const Schedule schedule = caft_for(s, 1);
-  ReplayEngineOptions options;
-  options.theta_bucket_width = schedule.horizon() / 4.0;  // very coarse
-  options.exact = true;
-  const ReplayEngine engine(schedule, *s.costs, options);
-  SharedReplayMemo shared;
-  ReplayEngine::Scratch scratch;
-
-  const CrashWindowSampler window(6, 2, 0.0, schedule.horizon());
-  Rng rng(590);
-  for (int draw = 0; draw < 25; ++draw) {
-    const CrashScenario scenario = window.sample(rng);
-    const CrashResult naive = simulate_crashes(schedule, *s.costs, scenario);
-    const CrashResult& incr = engine.replay(scenario, scratch, &shared);
-    expect_results_identical(naive, incr, "draw " + std::to_string(draw));
-  }
-  // Campaign level: exact + buckets == plain exact, byte for byte.
-  const CrashWindowSampler sampler(6, 2, 0.0, schedule.horizon());
-  CampaignOptions plain;
+TEST(CampaignQuantization, ExactSpecIsTheEscapeHatch) {
+  // CampaignSpec::exact wins over theta_buckets: the Session runs width 0,
+  // byte-identical to a campaign that never asked for buckets.
+  Scenario s = random_setup(59, 6, 1.0);
+  const ftsched::Instance instance(std::move(s.graph), std::move(s.platform),
+                                   std::move(s.costs), ftsched::RunOptions{1});
+  ftsched::CampaignSpec plain;
+  plain.algorithms = {"caft"};
+  plain.sampler = ftsched::SamplerSpec::window(2, 0.0, 500.0);
   plain.replays = 200;
-  plain.threads = 2;
-  CampaignOptions hatched = plain;
-  hatched.theta_bucket_width = schedule.horizon() / 4.0;
+  ftsched::CampaignSpec hatched = plain;
+  hatched.theta_buckets = 4;  // very coarse
   hatched.exact = true;
-  hatched.threads = 4;
-  expect_summaries_identical(
-      run_campaign(schedule, *s.costs, sampler, plain),
-      run_campaign(schedule, *s.costs, sampler, hatched), "escape hatch");
+  ftsched::CampaignSpec bucketed = plain;
+  bucketed.theta_buckets = 4;
+
+  ftsched::SessionOptions options;
+  options.block = 50;  // several waves, so the record memo can answer
+  const ftsched::Session session(options);
+  const ftsched::CampaignReport a = session.evaluate(instance, plain);
+  const ftsched::CampaignReport b = session.evaluate(instance, hatched);
+  const ftsched::CampaignReport c = session.evaluate(instance, bucketed);
+  EXPECT_EQ(b.runs[0].theta_bucket_width, 0.0);
+  expect_summaries_identical(a.runs[0].summary, b.runs[0].summary,
+                             "escape hatch");
+  // The coarse buckets really do quantize when the hatch is closed.
+  EXPECT_GT(c.runs[0].theta_bucket_width, 0.0);
+  EXPECT_GT(c.runs[0].telemetry.memo_hits, 0u);
 }
 
-TEST(SharedMemo, QuantizedSummariesIdenticalAcrossThreadCounts) {
-  // The approximation must be a pure function of the scenario stream —
-  // never of which worker populated the memo first.
-  const Scenario s = test::random_setup(61, 8, 1.0);
+TEST(CampaignQuantization, BucketedSummariesIdenticalAcrossThreadCounts) {
+  const Scenario s = random_setup(61, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const CrashWindowSampler sampler(8, 2, 0.0, schedule.horizon());
   std::unique_ptr<CampaignSummary> reference;
@@ -310,163 +300,65 @@ TEST(SharedMemo, QuantizedSummariesIdenticalAcrossThreadCounts) {
   }
 }
 
-// ------------------------------------------------------------ memo caps
-
-TEST(SharedMemo, ScratchMemoStaysUnderCapOverLongCampaign) {
-  // Regression for the unbounded Scratch::memo: a campaign drawing from a
-  // mask space far larger than the cap must keep the memo bounded (and keep
-  // memoising — evictions, not insert-stop).
-  const Scenario s = test::uniform_setup(chain(4, 2.0), 16, 2.0, 1.0);
+TEST(CampaignRecordMemo, CountersAreExactAtEveryThreadCount) {
+  // The record memo is read while grouping and written after the join, on
+  // the campaign thread: its counters are a pure function of the scenario
+  // stream and the block size, never of the worker count.
+  const Scenario s = random_setup(62, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
-  ReplayEngineOptions options;
-  options.memo_capacity = 16;
-  const ReplayEngine engine(schedule, *s.costs, options);
-  ReplayEngine::Scratch scratch;
-
-  const UniformKSampler sampler(16, 2);  // C(16, 2) = 120 masks >> 16
-  Rng rng(67);
-  for (int i = 0; i < 20000; ++i) {
-    (void)engine.replay(sampler.sample(rng), scratch);
-    ASSERT_LE(scratch.memo_entries(), 16u) << "at replay " << i;
+  const UniformKSampler uniform(8, 2);
+  const CrashWindowSampler window(8, 1, 0.0, schedule.horizon());
+  for (const ScenarioSampler* sampler :
+       std::vector<const ScenarioSampler*>{&uniform, &window}) {
+    CampaignTelemetry reference;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      CampaignOptions options;
+      options.replays = 2000;
+      options.block = 128;
+      options.threads = threads;
+      options.theta_bucket_width = sampler == &window
+                                       ? schedule.horizon() / 32.0
+                                       : 0.0;
+      CampaignTelemetry telemetry;
+      (void)run_campaign(schedule, *s.costs, *sampler, options, &telemetry);
+      if (threads == 1) {
+        reference = telemetry;
+        EXPECT_GT(reference.memo_hits, 0u) << sampler->name();
+        if (sampler == &uniform) {
+          // The paper's model: C(8, 2) = 28 dead sets, each replayed once
+          // per campaign and never evicted.
+          EXPECT_EQ(telemetry.memo_lookups - telemetry.memo_hits, 28u);
+          EXPECT_EQ(telemetry.memo_entries, 28u);
+        }
+        continue;
+      }
+      EXPECT_EQ(telemetry.memo_lookups, reference.memo_lookups)
+          << sampler->name() << " threads " << threads;
+      EXPECT_EQ(telemetry.memo_hits, reference.memo_hits)
+          << sampler->name() << " threads " << threads;
+      EXPECT_EQ(telemetry.memo_entries, reference.memo_entries)
+          << sampler->name() << " threads " << threads;
+    }
   }
-  EXPECT_GT(scratch.memo_evictions(), 0u);
-  EXPECT_GT(scratch.memo_hits(), 0u);
 }
 
-TEST(SharedMemo, MillionReplayCampaignMemoStaysBounded) {
-  // The long-haul version on the fast path: 10^6 replays against both memo
-  // flavours with small caps; memory must stay O(cap), not O(distinct keys),
-  // while the memo keeps producing hits.
+TEST(CampaignRecordMemo, StaysBoundedOverMillionReplays) {
+  // 16 processors × 4096 buckets = 65,536 snapped keys, twice the memo's
+  // 1 << 15 record cap: over 10^6 replays the memo must keep clearing and
+  // keep answering, with memory O(cap), not O(distinct keys).
   const Scenario s = test::uniform_setup(chain(3, 2.0), 16, 2.0, 1.0);
   const Schedule schedule = caft_for(s, 1);
-  ReplayEngineOptions options;
-  options.memo_capacity = 8;
-  const ReplayEngine engine(schedule, *s.costs, options);
-  SharedMemoOptions memo_options;
-  memo_options.capacity = 8;
-  memo_options.shards = 4;
-  SharedReplayMemo shared_capped(memo_options);
-  ReplayEngine::Scratch scratch;
-  ReplayEngine::Scratch scratch_shared;
-
-  // Pre-draw a pool of k=1 scenarios (16 distinct masks) and cycle it: the
-  // loop body is then pure memo traffic, so a million replays stay cheap.
-  const UniformKSampler sampler(16, 1);
-  Rng rng(71);
-  std::vector<CrashScenario> pool;
-  for (int i = 0; i < 64; ++i) pool.push_back(sampler.sample(rng));
-
-  // Alternate the two memo flavours: 10^6 replays total, each one hitting
-  // a capped memo.
-  for (std::size_t i = 0; i < 1000000; ++i) {
-    const CrashScenario& scenario = pool[i % pool.size()];
-    if (i % 2 == 0)
-      (void)engine.replay(scenario, scratch);
-    else
-      (void)engine.replay(scenario, scratch_shared, &shared_capped);
-    if (i % 4096 == 0) {
-      ASSERT_LE(scratch.memo_entries(), 8u) << "at replay " << i;
-      ASSERT_LE(shared_capped.stats().entries, 8u) << "at replay " << i;
-    }
-  }
-  EXPECT_LE(scratch.memo_entries(), 8u);
-  EXPECT_GT(scratch.memo_hits(), 0u);
-  const SharedReplayMemo::Stats stats = shared_capped.stats();
-  EXPECT_LE(stats.entries, 8u);
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.evictions + scratch.memo_evictions(), 0u);
-}
-
-TEST(SharedMemo, RejectsRebindToSecondEngine) {
-  // One memo per (campaign, engine): keys are schedule-relative, so reusing
-  // a memo across engines would serve one schedule's results for another.
-  const Scenario s1 = test::random_setup(73, 6, 1.0);
-  const Scenario s2 = test::random_setup(74, 6, 1.0);
-  const Schedule sched1 = caft_for(s1, 1);
-  const Schedule sched2 = caft_for(s2, 1);
-  const ReplayEngine engine1(sched1, *s1.costs);
-  const ReplayEngine engine2(sched2, *s2.costs);
-  SharedReplayMemo shared;
-  ReplayEngine::Scratch scratch;
-  const CrashScenario crash = CrashScenario::at_zero(6, {ProcId(2)});
-  (void)engine1.replay(crash, scratch, &shared);
-  EXPECT_THROW((void)engine2.replay(crash, scratch, &shared), CheckError);
-  // Without the shared memo the Scratch rebinds cleanly, as before.
-  const CrashResult naive = simulate_crashes(sched2, *s2.costs, crash);
-  expect_results_identical(naive, engine2.replay(crash, scratch), "rebind");
-}
-
-// ------------------------------------------------- adaptive snapshots
-
-TEST(SharedMemo, AdaptiveSnapshotPlacementNeverChangesResults) {
-  // Snapshot density is a pure performance knob: a fine θ sweep through an
-  // engine with sampler-fitted snapshot times must match the naive replay
-  // everywhere, and the snapshot budget must be respected.
-  const Scenario s = test::random_setup(79, 6, 5.0);
-  const Schedule schedule = caft_for(s, 1);
-  const double horizon = schedule.horizon();
-  const CrashWindowSampler sampler(6, 2, 0.0, horizon * 0.4);
-
-  ReplayEngineOptions options;
-  options.max_snapshots = 24;
-  options.snapshot_times =
-      sampler.first_crash_quantiles(options.max_snapshots, horizon);
-  ASSERT_FALSE(options.snapshot_times.empty());
-  const ReplayEngine adaptive(schedule, *s.costs, options);
-  EXPECT_LE(adaptive.snapshot_count(), options.max_snapshots);
-  EXPECT_GT(adaptive.snapshot_count(), 0u);
-
-  ReplayEngine::Scratch scratch;
-  for (int step = 0; step <= 30; ++step) {
-    CrashScenario scenario = CrashScenario::none(6);
-    scenario.set_crash_time(ProcId(1),
-                            horizon * static_cast<double>(step) / 30.0);
-    const CrashResult naive = simulate_crashes(schedule, *s.costs, scenario);
-    expect_results_identical(naive, adaptive.replay(scenario, scratch),
-                             "sweep step " + std::to_string(step));
-  }
-
-  // Campaign level: adaptive on/off is unobservable in the summary.
-  CampaignOptions with;
-  with.replays = 300;
-  with.threads = 3;
-  with.adaptive_snapshots = true;
-  CampaignOptions without = with;
-  without.adaptive_snapshots = false;
-  without.threads = 2;
-  expect_summaries_identical(
-      run_campaign(schedule, *s.costs, sampler, with),
-      run_campaign(schedule, *s.costs, sampler, without), "adaptive A/B");
-}
-
-TEST(SharedMemo, SamplerQuantileHintsAreSaneDensityProfiles) {
-  const double horizon = 100.0;
-  // The paper's dead-from-start model has no θ mass to adapt to.
-  EXPECT_TRUE(UniformKSampler(8, 2)
-                  .first_crash_quantiles(16, horizon)
-                  .empty());
-
-  const auto check_profile = [&](const ScenarioSampler& sampler,
-                                 const std::string& label) {
-    SCOPED_TRACE(label);
-    const std::vector<double> q = sampler.first_crash_quantiles(16, horizon);
-    ASSERT_EQ(q.size(), 16u);
-    EXPECT_TRUE(std::is_sorted(q.begin(), q.end()));
-    for (const double t : q) {
-      EXPECT_GE(t, 0.0);
-      EXPECT_LE(t, horizon);
-    }
-  };
-  check_profile(CrashWindowSampler(8, 2, 10.0, 90.0), "window");
-  check_profile(ExponentialLifetimeSampler(8, 0.01, horizon), "exp");
-  check_profile(WeibullLifetimeSampler(8, 1.5, 50.0, horizon), "weibull");
-  check_profile(CorrelatedGroupSampler(8, 2, 0.3, 5.0, 80.0), "groups");
-
-  // The window profile concentrates below the window's upper edge: the
-  // engine should not waste snapshots past the θ mass.
-  const std::vector<double> window_q =
-      CrashWindowSampler(8, 2, 0.0, 40.0).first_crash_quantiles(16, horizon);
-  EXPECT_LE(window_q.back(), 40.0 + 1e-9);
+  const CrashWindowSampler sampler(16, 1, 0.0, schedule.horizon());
+  CampaignOptions options;
+  options.replays = 1000000;
+  options.threads = 2;
+  options.theta_bucket_width = schedule.horizon() / 4096.0;
+  CampaignTelemetry telemetry;
+  (void)run_campaign(schedule, *s.costs, sampler, options, &telemetry);
+  EXPECT_EQ(telemetry.replays, 1000000u);
+  EXPECT_LE(telemetry.memo_entries, std::size_t{1} << 15);
+  EXPECT_GT(telemetry.memo_evictions, 0u);
+  EXPECT_GT(telemetry.memo_hits, 0u);
 }
 
 }  // namespace

@@ -37,15 +37,11 @@
 /// `naive` re-simulates every scenario from t=0. Both produce bit-for-bit
 /// identical reports — the flag exists for A/B validation and benchmarks.
 ///
-/// --memo shared|scratch (default shared) places the incremental engine's
-/// dead-set memo: `shared` is one lock-free concurrent memo every worker
-/// thread consults, `scratch` keeps one private memo per worker. Both
-/// produce bit-for-bit identical reports.
-///
-/// --theta-buckets N (default 0 = off) additionally memoises crash-at-θ
-/// scenarios by quantizing each finite crash time to one of N buckets of
-/// the schedule horizon and replaying the bucket midpoint — a
-/// deterministic approximation whose drift is bounded by the bucket width.
+/// --theta-buckets N (default 0 = off) quantizes crash-at-θ scenarios:
+/// each finite positive crash time snaps to the midpoint of one of N
+/// buckets of the schedule horizon before the campaign groups, memoises
+/// and replays it — a deterministic approximation whose drift is bounded
+/// by the bucket width, identical under either engine.
 /// --exact is the escape hatch: bit-exact replays even with buckets set.
 /// Numeric/choice flags are validated strictly; malformed values abort
 /// with a clear error instead of silently falling back to defaults.
@@ -182,7 +178,7 @@ int main(int argc, char** argv) {
     const std::size_t m = instance->proc_count();
     instance->set_eps(args.get_size("eps", 1));
 
-    // --- session: execution policy (threads, engine, memo placement).
+    // --- session: execution policy (threads, engine).
     ftsched::SessionOptions session_options;
     session_options.threads = args.get_size("threads", 0);
     session_options.engine =
@@ -190,10 +186,6 @@ int main(int argc, char** argv) {
                 "incremental"
             ? CampaignEngine::kIncremental
             : CampaignEngine::kNaive;
-    session_options.memo =
-        args.get_choice("memo", "shared", {"shared", "scratch"}) == "shared"
-            ? CampaignMemo::kShared
-            : CampaignMemo::kScratch;
     // Process-parallel backend: fan blocks out to --workers copies of
     // --worker-cmd (default: this very binary) instead of running the
     // campaign in this process. Summaries are byte-identical either way.

@@ -10,7 +10,7 @@
 ///   campaign_server [--listen ADDR] [--port N] [--cache-size N]
 ///                   [--max-inflight N] [--queue-limit N]
 ///                   [--threads N] [--engine incremental|naive]
-///                   [--memo shared|scratch] [--block N]
+///                   [--block N]
 ///                   [--metrics-out FILE] [--trace-out FILE] [--version]
 ///
 ///   --listen ADDR      interface to bind, IPv4 dotted quad (default
@@ -24,7 +24,7 @@
 ///                      rejects every request — drain/maintenance mode)
 ///   --queue-limit N    requests allowed to wait for a slot before an
 ///                      immediate busy rejection (default 8)
-///   --threads/--engine/--memo/--block
+///   --threads/--engine/--block
 ///                      the wrapped Session's execution knobs, exactly as
 ///                      campaign_cli takes them. Execution policy is
 ///                      in-process by design: byte-identity leans on
@@ -81,12 +81,13 @@ int main(int argc, char** argv) {
                 "incremental"
             ? caft::CampaignEngine::kIncremental
             : caft::CampaignEngine::kNaive;
-    options.session.memo =
-        args.get_choice("memo", "shared", {"shared", "scratch"}) == "shared"
-            ? caft::CampaignMemo::kShared
-            : caft::CampaignMemo::kScratch;
     options.session.block = args.get_size("block", options.session.block);
 
+    // Handlers go in before the listener opens and before the startup
+    // line: a harness may send SIGTERM the moment it reads that line, and
+    // the default disposition would kill the server instead of draining it.
+    std::signal(SIGTERM, handle_shutdown_signal);
+    std::signal(SIGINT, handle_shutdown_signal);
     ftsched::server::CampaignServer daemon(options);
     daemon.start();
     // The one stdout line, flushed so a harness that started us with
@@ -96,8 +97,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned>(daemon.port()));
     std::fflush(stdout);
 
-    std::signal(SIGTERM, handle_shutdown_signal);
-    std::signal(SIGINT, handle_shutdown_signal);
     while (g_shutdown == 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
