@@ -8,6 +8,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -284,6 +285,17 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
       order.engine = engine == "naive" ? caft::CampaignEngine::kNaive
                                        : caft::CampaignEngine::kIncremental;
       order.block = parse_size(next_token(fields, "exec block"), "block");
+      // Both size worker allocations (one replay scratch per thread, the
+      // wave's block × m crash-time matrix): bound them before anything
+      // is allocated.
+      CAFT_CHECK_MSG(order.threads <= caft::kMaxCampaignThreads,
+                     "campaign wire: exec threads " +
+                         std::to_string(order.threads) + " exceed the cap of " +
+                         std::to_string(caft::kMaxCampaignThreads));
+      CAFT_CHECK_MSG(order.block >= 1 && order.block <= caft::kMaxCampaignBlock,
+                     "campaign wire: exec block " +
+                         std::to_string(order.block) + " is outside [1, " +
+                         std::to_string(caft::kMaxCampaignBlock) + "]");
     } else if (key == "expect") {
       order.expect_makespan =
           parse_double(next_token(fields, "expect makespan"), "makespan");

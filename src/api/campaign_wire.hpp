@@ -22,7 +22,9 @@
 ///           <theta-lo> <theta-hi> <group-size> <group-prob>
 ///   request <eps|-> <model|-> <validate> <support> <one-to-one>
 ///           <batch-size> <mst>           # "-" = no override
-///   exec <threads> <engine> <block>      # summary-neutral worker knobs
+///   exec <threads> <engine> <block>      # summary-neutral worker knobs;
+///                                        # threads <= kMaxCampaignThreads,
+///                                        # 1 <= block <= kMaxCampaignBlock
 ///   expect <makespan> <horizon>          # coordinator's schedule, hexfloat;
 ///                                        # the worker re-schedules and must
 ///                                        # reproduce both bit-for-bit

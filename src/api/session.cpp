@@ -12,6 +12,7 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/check.hpp"
@@ -298,6 +299,15 @@ CampaignRun Session::evaluate_schedule_subprocess(
                  "(a campaign_cli-compatible binary)");
   CAFT_CHECK_MSG(exec.n_workers > 0,
                  "subprocess execution needs at least one worker");
+  // The work order's `exec` line carries both; a worker refuses values
+  // above the caps, so refuse them here before any worker is spawned.
+  CAFT_CHECK_MSG(exec.worker_threads <= caft::kMaxCampaignThreads,
+                 "worker threads exceed the cap of " +
+                     std::to_string(caft::kMaxCampaignThreads));
+  CAFT_CHECK_MSG(options_.block >= 1 &&
+                     options_.block <= caft::kMaxCampaignBlock,
+                 "block size must be in [1, " +
+                     std::to_string(caft::kMaxCampaignBlock) + "]");
 
   // Hand the instance to workers through the archival text format (exact
   // double round-trip); scheduling is deterministic, so every worker

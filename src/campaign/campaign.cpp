@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -30,6 +34,42 @@ double snap_crash_time(double t, double width) {
   if (t <= 0.0) return 0.0;
   if (t == std::numeric_limits<double>::infinity()) return t;
   return (std::floor(t / width) + 0.5) * width;
+}
+
+/// Hash of `words` 64-bit words, mixed one word per step rather than one
+/// byte (a byte-wise loop was about five times slower on crash-time rows).
+/// Rows differ mostly in their high bits (0.0 against +inf), so each step
+/// folds the high half back down before the next multiply.
+std::uint64_t hash_words(const char* bytes, std::size_t words) {
+  std::uint64_t h = words;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t w;
+    std::memcpy(&w, bytes + i * sizeof w, sizeof w);
+    h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 32;
+  }
+  // MurmurHash3's 64-bit finalizer: every bit reaches the low bits the
+  // tables index with.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// The record memo's key is a row's crash-time bytes. The transparent hash
+/// lets a lookup go through a string_view of the row, so only an insert
+/// allocates a key.
+struct RowKeyHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view key) const {
+    return hash_words(key.data(), key.size() / sizeof(double));
+  }
+};
+
+std::string_view row_key(const double* row, std::size_t m) {
+  return {reinterpret_cast<const char*>(row), m * sizeof(double)};
 }
 
 ReplayRecord to_record(const CrashResult& result, std::size_t failed_count) {
@@ -62,6 +102,9 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
                  "sampler platform size does not match the schedule");
   CAFT_CHECK_MSG(schedule.complete(), "schedule is incomplete");
   CAFT_CHECK_MSG(options.block > 0, "block size must be positive");
+  CAFT_CHECK_MSG(options.block <= kMaxCampaignBlock,
+                 "block size exceeds the cap of " +
+                     std::to_string(kMaxCampaignBlock) + " replays");
   CAFT_CHECK_MSG(options.theta_bucket_width >= 0.0 &&
                      !std::isnan(options.theta_bucket_width),
                  "theta bucket width must be non-negative");
@@ -69,13 +112,23 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   const std::size_t threads =
       std::max<std::size_t>(1, options.threads == 0 ? default_thread_count()
                                                     : options.threads);
+  CAFT_CHECK_MSG(threads <= kMaxCampaignThreads,
+                 "thread count exceeds the cap of " +
+                     std::to_string(kMaxCampaignThreads));
 
   // Observability is strictly write-only from here on: when the global
   // registry is disabled (the default) every call below is a relaxed load
-  // plus a branch, and nothing it records ever feeds back into a replay.
+  // plus a branch — no clock read, no allocation — and nothing it records
+  // ever feeds back into a replay.
   obs::Registry& registry = obs::Registry::global();
   obs::Span range_span = registry.span("campaign.range");
   obs::Histogram wave_seconds = registry.histogram("campaign.wave.seconds");
+  obs::Histogram stage_seconds[] = {
+      registry.histogram("campaign.wave.sample.seconds"),
+      registry.histogram("campaign.wave.group.seconds"),
+      registry.histogram("campaign.wave.replay.seconds"),
+      registry.histogram("campaign.wave.fold.seconds")};
+  enum Stage { kSample, kGroup, kReplay, kFold };
   obs::Counter replays_counter = registry.counter("campaign.replays");
   obs::Counter waves_counter = registry.counter("campaign.blocks");
   const std::chrono::steady_clock::time_point range_begin =
@@ -93,33 +146,60 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     engine = owned_engine.get();
   }
   const double width = options.theta_bucket_width;
+  const std::size_t m = sampler.proc_count();
 
   Rng master(options.seed);
   // Fast-forward to replay `first`: exactly one split per earlier replay —
   // the sampler draws from the split stream, never from the master.
   for (std::size_t i = 0; i < first; ++i) (void)master.split();
 
-  std::vector<CrashScenario> scenarios;
-  std::vector<std::size_t> order;
-  std::vector<std::size_t> group_start;
-  std::vector<double> times;
+  // Every per-wave buffer is sized once, for the largest wave, so
+  // steady-state waves allocate nothing.
+  const std::size_t capacity = std::min(options.block, count);
+  // The wave's scenarios: row i holds the m crash times of replay i.
+  std::vector<double> times(capacity * m);
+  // Grouping: group_of[i] is the group of replay i; a group is numbered by
+  // its first replay, which is its representative (reps[g]). `slots` is an
+  // open-addressing table of group numbers, at most half full.
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  std::size_t table_size = 2;
+  while (table_size < 2 * capacity) table_size *= 2;
+  const std::size_t mask = table_size - 1;
+  std::vector<std::uint32_t> slots(table_size);
+  std::vector<std::uint32_t> group_of(capacity);
+  std::vector<std::size_t> reps;
   std::vector<double> firsts;
-  std::vector<ReplayRecord> records;
-  // Groups the memo could not answer, in canonical group order, and the
-  // memo key of each (empty when the group is not memoisable).
-  std::vector<std::size_t> misses;
-  std::vector<std::string> miss_keys;
+  // Groups in canonical order, and the misses among them (same order).
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> misses;
+  std::vector<ReplayRecord> group_records;
+  std::vector<ReplayRecord> records(capacity);
+  reps.reserve(capacity);
+  firsts.reserve(capacity);
+  order.reserve(capacity);
+  misses.reserve(capacity);
+  group_records.reserve(capacity);
   // The record memo: snapped crash-time bytes -> record. A record is a pure
   // function of its (snapped) scenario, so a hit is bit-identical to a
   // replay. Single-threaded: it is read while grouping and written after
   // the join, so its counters are independent of the thread count.
-  std::unordered_map<std::string, ReplayRecord> memo;
+  std::unordered_map<std::string, ReplayRecord, RowKeyHash, std::equal_to<>>
+      memo;
   std::uint64_t memo_lookups = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_evictions = 0;
-  // One scratch per worker slot, persistent across waves: buffers survive,
-  // so steady-state waves allocate nothing.
+  // Memoisable rows: quantized scenarios (a finite bucket space) and
+  // dead-from-start ones (crash times all 0 or +inf: a finite space of
+  // C(m, k) dead sets).
+  const auto memoisable = [&](const double* t) {
+    return width > 0.0 || std::all_of(t, t + m, [](double x) {
+             return x <= 0.0 || x == std::numeric_limits<double>::infinity();
+           });
+  };
+  // One scratch and one scenario per worker slot, persistent across waves.
   std::vector<ReplayEngine::Scratch> scratches(threads);
+  std::vector<CrashScenario> worker_scenarios(threads,
+                                              CrashScenario::none(m));
   std::size_t successes = 0;
   std::size_t waves = 0;
   std::size_t done = 0;
@@ -127,120 +207,115 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   while (done < count && keep_going) {
     const std::size_t wave = std::min(options.block, count - done);
     obs::Span wave_span = registry.span("campaign.wave");
-    const std::chrono::steady_clock::time_point wave_begin =
-        std::chrono::steady_clock::now();
+    // Stage timing reads the clock only while the registry is enabled.
+    const bool timed = registry.enabled();
+    std::chrono::steady_clock::time_point wave_begin;
+    std::chrono::steady_clock::time_point lap_begin;
+    if (timed) wave_begin = lap_begin = std::chrono::steady_clock::now();
+    const auto lap = [&](Stage stage) {
+      if (!timed) return;
+      const std::chrono::steady_clock::time_point now =
+          std::chrono::steady_clock::now();
+      stage_seconds[stage].observe(
+          std::chrono::duration<double>(now - lap_begin).count());
+      lap_begin = now;
+    };
 
     // Scenarios are drawn sequentially in global replay order, each from
     // its own split stream: neither the thread schedule, the block size nor
-    // the engine can influence any draw. θ-quantization snaps each draw
-    // here, before anything else sees it.
-    const std::size_t m = sampler.proc_count();
-    scenarios.clear();
-    scenarios.reserve(wave);
+    // the engine can influence any draw. Each row is checked as a
+    // CrashScenario would check it; θ-quantization then snaps it (a snap
+    // keeps valid times valid) before anything else sees it.
     for (std::size_t i = 0; i < wave; ++i) {
+      double* row = times.data() + i * m;
       Rng stream = master.split();
-      scenarios.push_back(sampler.sample(stream));
+      sampler.sample_into(stream, row);
+      CrashScenario::check_times(row, m);
       if (width > 0.0)
-        for (std::size_t p = 0; p < m; ++p) {
-          const ProcId proc(static_cast<ProcId::value_type>(p));
-          scenarios.back().set_crash_time(
-              proc, snap_crash_time(scenarios.back().crash_time(proc), width));
-        }
+        for (std::size_t p = 0; p < m; ++p)
+          row[p] = snap_crash_time(row[p], width);
     }
+    lap(kSample);
 
-    // Execute the wave sorted by earliest crash time, then by the full
-    // crash-time vector: neighbouring replays branch from the same (or
-    // adjacent) fault-free snapshots, and *identical* scenarios (a uniform-k
-    // wave of 1024 draws covers only C(m, k) distinct masks) become adjacent
-    // runs. Each run is replayed once and its record copied to every index —
-    // sound because a record is a pure function of its scenario, so the
-    // copies are bit-identical to replaying each index individually.
-    // Results land in replay order regardless, so the sink below never sees
-    // this order and summaries stay independent of the batching.
-    // The sort comparator runs O(wave log wave) times; flatten the crash
-    // times into one matrix up front so it compares raw doubles instead of
-    // going through the checked per-proc accessor.
-    times.resize(wave * m);
-    firsts.resize(wave);
+    // Group identical rows in one pass: identical scenarios (a uniform-k
+    // wave of 1024 draws covers only C(m, k) distinct masks) are replayed
+    // once and their record copied to every index — sound because a record
+    // is a pure function of its scenario, so the copies are bit-identical
+    // to replaying each index individually.
+    std::fill(slots.begin(), slots.end(), kEmpty);
+    reps.clear();
     for (std::size_t i = 0; i < wave; ++i) {
-      double earliest = std::numeric_limits<double>::infinity();
-      for (std::size_t p = 0; p < m; ++p) {
-        const double t = scenarios[i].crash_time(
-            ProcId(static_cast<ProcId::value_type>(p)));
-        times[i * m + p] = t;
-        earliest = std::min(earliest, t);
+      const double* row = times.data() + i * m;
+      const std::string_view key = row_key(row, m);
+      std::size_t slot = RowKeyHash{}(key) & mask;
+      while (slots[slot] != kEmpty &&
+             row_key(times.data() + reps[slots[slot]] * m, m) != key)
+        slot = (slot + 1) & mask;
+      if (slots[slot] == kEmpty) {
+        slots[slot] = static_cast<std::uint32_t>(reps.size());
+        reps.push_back(i);
       }
-      firsts[i] = earliest;
+      group_of[i] = slots[slot];
     }
-    const auto times_cmp = [&](std::size_t a, std::size_t b) {
-      const double* ta = times.data() + a * m;
-      const double* tb = times.data() + b * m;
-      for (std::size_t p = 0; p < m; ++p)
-        if (ta[p] != tb[p]) return ta[p] < tb[p] ? -1 : 1;
-      return 0;
-    };
-    order.resize(wave);
-    for (std::size_t i = 0; i < wave; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (firsts[a] != firsts[b]) return firsts[a] < firsts[b];
-      const int c = times_cmp(a, b);
-      if (c != 0) return c < 0;
-      return a < b;
-    });
-    // Group boundaries of identical-scenario runs in the sorted order.
-    group_start.clear();
-    for (std::size_t j = 0; j < wave; ++j)
-      if (j == 0 || times_cmp(order[j], order[j - 1]) != 0)
-        group_start.push_back(j);
-    group_start.push_back(wave);
-    const std::size_t groups = group_start.size() - 1;
+    const std::size_t groups = reps.size();
 
-    // Consult the memo for every memoisable group: quantized scenarios
-    // (a finite bucket space) and dead-from-start ones (crash times all
-    // 0 or +inf: a finite space of C(m, k) dead sets). Hits fill their
-    // records here; only misses are dispatched.
-    records.assign(wave, ReplayRecord{});
-    misses.clear();
-    miss_keys.clear();
-    const auto fill_group = [&](std::size_t g, const ReplayRecord& record) {
-      for (std::size_t j = group_start[g]; j < group_start[g + 1]; ++j)
-        records[order[j]] = record;
-    };
+    // Canonical group order: earliest crash time, then the full crash-time
+    // vector, so neighbouring replays branch from the same (or adjacent)
+    // fault-free snapshots. Memo hits, misses and evictions follow this
+    // order; results land in replay order regardless, so the sink never
+    // sees it and summaries stay independent of the batching.
+    firsts.resize(groups);
+    order.resize(groups);
     for (std::size_t g = 0; g < groups; ++g) {
-      const double* t = times.data() + order[group_start[g]] * m;
-      std::string key;
-      if (width > 0.0 || std::all_of(t, t + m, [](double x) {
-            return x <= 0.0 || x == std::numeric_limits<double>::infinity();
-          })) {
-        key.assign(reinterpret_cast<const char*>(t), m * sizeof(double));
+      const double* row = times.data() + reps[g] * m;
+      firsts[g] = *std::min_element(row, row + m);
+      order[g] = static_cast<std::uint32_t>(g);
+    }
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (firsts[a] != firsts[b]) return firsts[a] < firsts[b];
+                const double* ta = times.data() + reps[a] * m;
+                const double* tb = times.data() + reps[b] * m;
+                for (std::size_t p = 0; p < m; ++p)
+                  if (ta[p] != tb[p]) return ta[p] < tb[p];
+                return reps[a] < reps[b];
+              });
+
+    // Consult the memo for every memoisable group; hits fill their group
+    // record here, and only misses are dispatched.
+    group_records.resize(groups);
+    misses.clear();
+    for (const std::uint32_t g : order) {
+      const double* row = times.data() + reps[g] * m;
+      if (memoisable(row)) {
         ++memo_lookups;
-        const auto hit = memo.find(key);
+        const auto hit = memo.find(row_key(row, m));
         if (hit != memo.end()) {
           ++memo_hits;
-          fill_group(g, hit->second);
+          group_records[g] = hit->second;
           continue;
         }
       }
       misses.push_back(g);
-      miss_keys.push_back(std::move(key));
     }
+    lap(kGroup);
 
     const std::size_t workers = std::min(threads, misses.size());
     const auto worker = [&](std::size_t first_slot) {
       ReplayEngine::Scratch& scratch = scratches[first_slot];
+      CrashScenario& scenario = worker_scenarios[first_slot];
       for (std::size_t k = first_slot; k < misses.size(); k += workers) {
-        const std::size_t g = misses[k];
-        const std::size_t i = order[group_start[g]];
+        const std::uint32_t g = misses[k];
+        scenario.assign(times.data() + reps[g] * m);
         // Branch instead of a ternary: the engine path returns a reference
         // (a ternary mixing it with the naive prvalue would force a copy).
         if (engine != nullptr)
-          records[i] = to_record(engine->replay(scenarios[i], scratch),
-                                 scenarios[i].failed_count());
+          group_records[g] = to_record(engine->replay(scenario, scratch),
+                                       scenario.failed_count());
         else
-          records[i] = to_record(simulate_crashes(schedule, costs,
-                                                  scenarios[i]),
-                                 scenarios[i].failed_count());
-        fill_group(g, records[i]);
+          group_records[g] =
+              to_record(simulate_crashes(schedule, costs, scenario),
+                        scenario.failed_count());
       }
     };
     if (workers == 1) {
@@ -254,24 +329,29 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
 
     // Insert the misses in canonical group order, with clear-on-threshold
     // eviction bounding the memo at kMemoCapacity records.
-    for (std::size_t k = 0; k < misses.size(); ++k) {
-      if (miss_keys[k].empty()) continue;
+    for (const std::uint32_t g : misses) {
+      const double* row = times.data() + reps[g] * m;
+      if (!memoisable(row)) continue;
       if (memo.size() >= kMemoCapacity) {
         memo.clear();
         ++memo_evictions;
       }
-      memo.emplace(std::move(miss_keys[k]),
-                   records[order[group_start[misses[k]]]]);
+      memo.emplace(std::string(row_key(row, m)), group_records[g]);
     }
+    for (std::size_t i = 0; i < wave; ++i)
+      records[i] = group_records[group_of[i]];
+    lap(kReplay);
 
     keep_going = sink(records, wave);
     done += wave;
     ++waves;
+    lap(kFold);
 
     wave_span.finish();
-    const std::chrono::duration<double> wave_elapsed =
-        std::chrono::steady_clock::now() - wave_begin;
-    wave_seconds.observe(wave_elapsed.count());
+    if (timed)
+      wave_seconds.observe(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - wave_begin)
+                               .count());
     replays_counter.add(wave);
     waves_counter.add(1);
     // Success tally and the progress callback run on the campaign thread

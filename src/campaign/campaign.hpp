@@ -20,12 +20,17 @@
 /// simulated in bounded blocks, so memory stays O(block + threads), not
 /// O(replays).
 ///
-/// Within a block, identical scenarios are grouped and each group is
-/// replayed once, in order of earliest crash time so consecutive replays
-/// branch from nearby prefix snapshots (maximizing cache reuse in the
-/// incremental engine). A record memo owned by the executor answers groups
-/// already seen in earlier blocks. Results are still folded in replay
-/// order — execution order and memo hits are unobservable.
+/// Each wave draws its scenarios into one reused W × m crash-time matrix
+/// (ScenarioSampler::sample_into). Identical rows are grouped by one O(W)
+/// pass over an open-addressing hash table keyed on the row's bytes; only
+/// the distinct groups are sorted, by earliest crash time and then by the
+/// crash-time vector, so consecutive replays branch from nearby prefix
+/// snapshots (maximizing cache reuse in the incremental engine). Each group
+/// is replayed once. A record memo owned by the executor answers groups
+/// already seen in earlier waves. Results are still folded in replay
+/// order — execution order and memo hits are unobservable. A steady-state
+/// wave whose groups all hit the memo allocates nothing and starts no
+/// thread.
 #pragma once
 
 #include <cstddef>
@@ -66,15 +71,23 @@ struct CampaignProgress {
   double ci_width = 1.0;
 };
 
+/// Upper bound of CampaignOptions::threads (and of the thread count 0
+/// resolves to). It sizes one replay scratch per thread.
+inline constexpr std::size_t kMaxCampaignThreads = 1024;
+/// Upper bound of CampaignOptions::block. It sizes the wave's W × m
+/// crash-time matrix: at most 32 MiB on the 64 processors an Instance
+/// admits.
+inline constexpr std::size_t kMaxCampaignBlock = std::size_t{1} << 16;
+
 /// Knobs of one campaign run.
 struct CampaignOptions {
   std::size_t replays = 1000;
   std::uint64_t seed = 20080201;
   /// Worker threads; 0 = default_thread_count() (CAFT_THREADS env, else
-  /// hardware concurrency).
+  /// hardware concurrency). At most kMaxCampaignThreads.
   std::size_t threads = 0;
   /// Replays simulated per parallel wave; bounds peak memory. The summary
-  /// does not depend on it.
+  /// does not depend on it. In [1, kMaxCampaignBlock].
   std::size_t block = 1024;
   /// Latency quantiles to estimate, each in (0, 1).
   std::vector<double> quantiles = {0.5, 0.9, 0.99};

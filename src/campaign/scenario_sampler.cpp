@@ -1,8 +1,12 @@
 #include "campaign/scenario_sampler.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <sstream>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -18,7 +22,30 @@ double censor(double lifetime, double horizon) {
   return lifetime > horizon ? kInf : lifetime;
 }
 
+/// Processors an index pool holds on the stack: far more than the 64 an
+/// Instance admits. Only a larger hand-built sampler spills to the heap.
+constexpr std::size_t kStackPool = 256;
+
+/// Picks `k` distinct processors of `n` uniformly — the draws of
+/// Rng::sample_without_replacement(n, k), all made before the first visit —
+/// and calls `visit(p)` for each pick in draw order.
+template <typename Visit>
+void for_each_pick(Rng& rng, std::size_t n, std::size_t k, Visit&& visit) {
+  std::array<std::uint32_t, kStackPool> stack;
+  std::vector<std::uint32_t> heap(n > kStackPool ? n : 0);
+  std::uint32_t* pool = n > kStackPool ? heap.data() : stack.data();
+  std::iota(pool, pool + n, std::uint32_t{0});
+  rng.partial_shuffle(pool, n, k);
+  for (std::size_t i = 0; i < k; ++i) visit(pool[i]);
+}
+
 }  // namespace
+
+CrashScenario ScenarioSampler::sample(Rng& rng) const {
+  std::vector<double> row(proc_count());
+  sample_into(rng, row.data());
+  return CrashScenario(std::move(row));
+}
 
 UniformKSampler::UniformKSampler(std::size_t proc_count, std::size_t failures)
     : proc_count_(proc_count), failures_(failures) {
@@ -33,12 +60,10 @@ std::string UniformKSampler::name() const {
   return os.str();
 }
 
-CrashScenario UniformKSampler::sample(Rng& rng) const {
-  const auto indices = rng.sample_without_replacement(proc_count_, failures_);
-  std::vector<ProcId> failed(indices.size());
-  for (std::size_t i = 0; i < indices.size(); ++i)
-    failed[i] = ProcId(static_cast<ProcId::value_type>(indices[i]));
-  return CrashScenario::at_zero(proc_count_, failed);
+void UniformKSampler::sample_into(Rng& rng, double* row) const {
+  std::fill(row, row + proc_count_, kInf);
+  for_each_pick(rng, proc_count_, failures_,
+                [row](std::uint32_t p) { row[p] = 0.0; });
 }
 
 ExponentialLifetimeSampler::ExponentialLifetimeSampler(std::size_t proc_count,
@@ -56,10 +81,9 @@ std::string ExponentialLifetimeSampler::name() const {
   return os.str();
 }
 
-CrashScenario ExponentialLifetimeSampler::sample(Rng& rng) const {
-  std::vector<double> times(proc_count_);
-  for (double& t : times) t = censor(rng.exponential(rate_), horizon_);
-  return CrashScenario(std::move(times));
+void ExponentialLifetimeSampler::sample_into(Rng& rng, double* row) const {
+  for (std::size_t p = 0; p < proc_count_; ++p)
+    row[p] = censor(rng.exponential(rate_), horizon_);
 }
 
 WeibullLifetimeSampler::WeibullLifetimeSampler(std::size_t proc_count,
@@ -79,10 +103,9 @@ std::string WeibullLifetimeSampler::name() const {
   return os.str();
 }
 
-CrashScenario WeibullLifetimeSampler::sample(Rng& rng) const {
-  std::vector<double> times(proc_count_);
-  for (double& t : times) t = censor(rng.weibull(shape_, scale_), horizon_);
-  return CrashScenario(std::move(times));
+void WeibullLifetimeSampler::sample_into(Rng& rng, double* row) const {
+  for (std::size_t p = 0; p < proc_count_; ++p)
+    row[p] = censor(rng.weibull(shape_, scale_), horizon_);
 }
 
 CrashWindowSampler::CrashWindowSampler(std::size_t proc_count,
@@ -104,13 +127,11 @@ std::string CrashWindowSampler::name() const {
   return os.str();
 }
 
-CrashScenario CrashWindowSampler::sample(Rng& rng) const {
-  CrashScenario scenario = CrashScenario::none(proc_count_);
-  const auto indices = rng.sample_without_replacement(proc_count_, failures_);
-  for (const std::size_t i : indices)
-    scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(i)),
-                            rng.uniform(theta_lo_, theta_hi_));
-  return scenario;
+void CrashWindowSampler::sample_into(Rng& rng, double* row) const {
+  std::fill(row, row + proc_count_, kInf);
+  for_each_pick(rng, proc_count_, failures_, [&](std::uint32_t p) {
+    row[p] = rng.uniform(theta_lo_, theta_hi_);
+  });
 }
 
 CorrelatedGroupSampler::CorrelatedGroupSampler(std::size_t proc_count,
@@ -139,8 +160,8 @@ std::string CorrelatedGroupSampler::name() const {
   return os.str();
 }
 
-CrashScenario CorrelatedGroupSampler::sample(Rng& rng) const {
-  CrashScenario scenario = CrashScenario::none(proc_count_);
+void CorrelatedGroupSampler::sample_into(Rng& rng, double* row) const {
+  std::fill(row, row + proc_count_, kInf);
   for (std::size_t g = 0; g < group_count(); ++g) {
     if (!rng.bernoulli(fail_prob_)) continue;
     const double theta = theta_lo_ == theta_hi_
@@ -148,11 +169,8 @@ CrashScenario CorrelatedGroupSampler::sample(Rng& rng) const {
                              : rng.uniform(theta_lo_, theta_hi_);
     const std::size_t first = g * group_size_;
     const std::size_t last = std::min(first + group_size_, proc_count_);
-    for (std::size_t p = first; p < last; ++p)
-      scenario.set_crash_time(ProcId(static_cast<ProcId::value_type>(p)),
-                              theta);
+    std::fill(row + first, row + last, theta);
   }
-  return scenario;
 }
 
 }  // namespace caft

@@ -11,10 +11,16 @@
 /// mid-execution extension, and correlated group failures (racks sharing a
 /// power feed fail together).
 ///
-/// Determinism contract: `sample` draws only from the Rng it is handed and
-/// keeps no mutable state, so the campaign executor can pre-split one stream
-/// per replay and fan replays across threads while staying bit-for-bit
-/// reproducible (the same contract run_experiment documents).
+/// Each sampler has one draw routine, `sample_into`, which writes one
+/// scenario as a row of proc_count() crash times into a buffer the caller
+/// owns: the campaign executor draws a whole wave into one reused W × m
+/// matrix, and a steady-state wave allocates nothing. `sample` wraps the
+/// same routine into a CrashScenario for every other caller.
+///
+/// Determinism contract: `sample_into` draws only from the Rng it is handed
+/// and keeps no mutable state, so the campaign executor can pre-split one
+/// stream per replay and fan replays across threads while staying
+/// bit-for-bit reproducible (the same contract run_experiment documents).
 #pragma once
 
 #include <cstddef>
@@ -39,9 +45,15 @@ class ScenarioSampler {
   /// the schedule the campaign replays.
   [[nodiscard]] virtual std::size_t proc_count() const = 0;
 
-  /// Draws one scenario. Must be a pure function of the Rng stream (no
-  /// mutable sampler state) — see the determinism contract above.
-  [[nodiscard]] virtual CrashScenario sample(Rng& rng) const = 0;
+  /// Draws one scenario into `row[0, proc_count())`: the crash time of
+  /// each processor, +inf for one that never fails. Must be a pure function
+  /// of the Rng stream (no mutable sampler state) — see the determinism
+  /// contract above — and must not allocate.
+  virtual void sample_into(Rng& rng, double* row) const = 0;
+
+  /// Draws one scenario as a CrashScenario: the row sample_into writes,
+  /// with the same Rng draws, checked by the CrashScenario constructor.
+  [[nodiscard]] CrashScenario sample(Rng& rng) const;
 };
 
 /// The paper's model: exactly k distinct processors, uniformly chosen, dead
@@ -52,7 +64,7 @@ class UniformKSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, double* row) const override;
 
  private:
   std::size_t proc_count_;
@@ -70,7 +82,7 @@ class ExponentialLifetimeSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, double* row) const override;
 
  private:
   std::size_t proc_count_;
@@ -89,7 +101,7 @@ class WeibullLifetimeSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, double* row) const override;
 
  private:
   std::size_t proc_count_;
@@ -108,7 +120,7 @@ class CrashWindowSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, double* row) const override;
 
  private:
   std::size_t proc_count_;
@@ -130,7 +142,7 @@ class CorrelatedGroupSampler final : public ScenarioSampler {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t proc_count() const override { return proc_count_; }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override;
+  void sample_into(Rng& rng, double* row) const override;
 
   [[nodiscard]] std::size_t group_count() const;
 

@@ -83,13 +83,7 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   CAFT_CHECK_MSG(k <= n, "cannot sample more items than the population holds");
   std::vector<std::size_t> pool(n);
   for (std::size_t i = 0; i < n; ++i) pool[i] = i;
-  // Partial Fisher–Yates: the first k positions become the sample.
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t j =
-        static_cast<std::size_t>(uniform_int(i, n - 1));
-    using std::swap;
-    swap(pool[i], pool[j]);
-  }
+  partial_shuffle(pool.data(), n, k);
   pool.resize(k);
   return pool;
 }

@@ -5,7 +5,9 @@
 /// every experiment; all figure benches print their seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -59,6 +61,22 @@ class Rng {
 
   /// Draws `k` distinct values from {0, 1, ..., n-1} (k <= n), in random order.
   std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
+
+  /// Partial Fisher–Yates over `pool[0, n)` in place: afterwards pool[0, k)
+  /// holds k distinct entries, uniformly drawn, in draw order. It makes the
+  /// uniform_int(i, n - 1) draws of sample_without_replacement, which runs
+  /// it over {0, ..., n-1}; a caller holding that pool in its own buffer
+  /// draws the same sample without allocating.
+  template <typename T>
+  void partial_shuffle(T* pool, std::size_t n, std::size_t k) {
+    CAFT_CHECK_MSG(k <= n,
+                   "cannot sample more items than the population holds");
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t j = static_cast<std::size_t>(uniform_int(i, n - 1));
+      using std::swap;
+      swap(pool[i], pool[j]);
+    }
+  }
 
   /// Derives an independent child generator; used to give each experiment
   /// repetition its own stream so repetitions can be reordered freely.

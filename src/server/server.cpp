@@ -1,8 +1,10 @@
 #include "server/server.hpp"
 
 #include <exception>
+#include <string>
 #include <utility>
 
+#include "campaign/campaign.hpp"
 #include "common/check.hpp"
 
 namespace ftsched {
@@ -61,6 +63,15 @@ CampaignServer::CampaignServer(ServerOptions options)
   CAFT_CHECK_MSG(!options_.session.on_progress,
                  "set per-request progress via the wire protocol, not "
                  "SessionOptions::on_progress");
+  // Refuse executor knobs every campaign would refuse, at start-up rather
+  // than once per request.
+  CAFT_CHECK_MSG(options_.session.threads <= caft::kMaxCampaignThreads,
+                 "server threads exceed the cap of " +
+                     std::to_string(caft::kMaxCampaignThreads));
+  CAFT_CHECK_MSG(options_.session.block >= 1 &&
+                     options_.session.block <= caft::kMaxCampaignBlock,
+                 "server block size must be in [1, " +
+                     std::to_string(caft::kMaxCampaignBlock) + "]");
 }
 
 CampaignServer::~CampaignServer() { stop(); }

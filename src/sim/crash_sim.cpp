@@ -20,12 +20,21 @@ CrashScenario CrashScenario::at_zero(std::size_t proc_count,
   return scenario;
 }
 
+void CrashScenario::check_times(const double* times, std::size_t count) {
+  for (std::size_t p = 0; p < count; ++p) {
+    CAFT_CHECK_MSG(!std::isnan(times[p]), "crash time must not be NaN");
+    CAFT_CHECK_MSG(times[p] >= 0.0, "crash time must be non-negative");
+  }
+}
+
 CrashScenario::CrashScenario(std::vector<double> crash_times)
     : crash_time_(std::move(crash_times)) {
-  for (const double t : crash_time_) {
-    CAFT_CHECK_MSG(!std::isnan(t), "crash time must not be NaN");
-    CAFT_CHECK_MSG(t >= 0.0, "crash time must be non-negative");
-  }
+  check_times(crash_time_.data(), crash_time_.size());
+}
+
+void CrashScenario::assign(const double* times) {
+  check_times(times, crash_time_.size());
+  std::copy(times, times + crash_time_.size(), crash_time_.begin());
 }
 
 double CrashScenario::crash_time(ProcId p) const {
@@ -37,8 +46,7 @@ double CrashScenario::crash_time(ProcId p) const {
 void CrashScenario::set_crash_time(ProcId p, double time) {
   CAFT_CHECK_MSG(p.index() < crash_time_.size(),
                  "processor id out of range for this scenario");
-  CAFT_CHECK_MSG(!std::isnan(time), "crash time must not be NaN");
-  CAFT_CHECK_MSG(time >= 0.0, "crash time must be non-negative");
+  check_times(&time, 1);
   crash_time_[p.index()] = time;
 }
 

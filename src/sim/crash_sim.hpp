@@ -44,9 +44,15 @@ namespace caft {
 /// Per-processor crash instants; +inf = the processor never fails.
 /// All accessors CAFT_CHECK their ProcId against the scenario size, and
 /// crash times must be non-negative and not NaN (enforced by the
-/// constructor and set_crash_time alike).
+/// constructor, assign and set_crash_time alike, through check_times).
 class CrashScenario {
  public:
+  /// Throws CheckError unless each of `times[0, count)` is a valid crash
+  /// time: not NaN and non-negative. The one crash-time check, also for
+  /// callers that keep crash times in their own buffers (the campaign
+  /// executor's crash-time matrix).
+  static void check_times(const double* times, std::size_t count);
+
   /// All processors healthy.
   static CrashScenario none(std::size_t proc_count);
   /// The given processors are dead from t = 0.
@@ -63,6 +69,9 @@ class CrashScenario {
   [[nodiscard]] std::size_t failed_count() const;
 
   void set_crash_time(ProcId p, double time);
+  /// Overwrites every crash time from `times[0, proc_count())`, checked as
+  /// by the constructor. Reuses this scenario's storage: no allocation.
+  void assign(const double* times);
 
  private:
   std::vector<double> crash_time_;

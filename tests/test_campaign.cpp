@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -138,6 +141,77 @@ TEST(ScenarioSamplers, GroupsFailAsUnits) {
     saw_failure = saw_failure || scenario.failed_count() > 0;
   }
   EXPECT_TRUE(saw_failure);
+}
+
+// The row sample_into writes and the CrashScenario sample() builds are the
+// same scenario bit for bit, and both leave the Rng in the same state. For
+// the two samplers that pick processors, both also equal the draws of
+// Rng::sample_without_replacement, the allocating routine they replaced.
+// Edge shapes: k = 0, k = m, m = 1 and m = 64.
+TEST(ScenarioSamplers, SampleIntoMatchesSampleBitForBit) {
+  std::vector<std::unique_ptr<ScenarioSampler>> samplers;
+  for (const std::size_t m : {1u, 7u, 64u}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, m / 2, m}) {
+      samplers.push_back(std::make_unique<UniformKSampler>(m, k));
+      samplers.push_back(
+          std::make_unique<CrashWindowSampler>(m, k, 10.0, 50.0));
+      samplers.push_back(std::make_unique<CrashWindowSampler>(m, k, 0.0, 0.0));
+    }
+    samplers.push_back(std::make_unique<ExponentialLifetimeSampler>(m, 0.02));
+    samplers.push_back(
+        std::make_unique<ExponentialLifetimeSampler>(m, 0.02, 40.0));
+    samplers.push_back(
+        std::make_unique<WeibullLifetimeSampler>(m, 1.5, 60.0, 80.0));
+    for (const double p : {0.0, 0.5, 1.0}) {  // no group, some, every group
+      samplers.push_back(
+          std::make_unique<CorrelatedGroupSampler>(m, 3, p, 5.0, 25.0));
+      samplers.push_back(std::make_unique<CorrelatedGroupSampler>(m, 1, p));
+    }
+  }
+  const auto bits = [](double t) { return std::bit_cast<std::uint64_t>(t); };
+  for (const auto& sampler : samplers) {
+    SCOPED_TRACE(sampler->name() + " m=" +
+                 std::to_string(sampler->proc_count()));
+    const std::size_t m = sampler->proc_count();
+    std::vector<double> row(m);
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      Rng into(seed), wrapped(seed);
+      sampler->sample_into(into, row.data());
+      const CrashScenario scenario = sampler->sample(wrapped);
+      ASSERT_EQ(scenario.proc_count(), m);
+      for (std::size_t p = 0; p < m; ++p)
+        ASSERT_EQ(bits(row[p]), bits(scenario.crash_time(ProcId(p))))
+            << "seed " << seed << " proc " << p;
+      ASSERT_EQ(into(), wrapped());  // same draws consumed
+    }
+  }
+
+  // Reference draws through the allocating sample_without_replacement; 300
+  // processors also cover an index pool too large for the stack.
+  for (const std::size_t m : {1u, 7u, 64u, 300u}) {
+    for (const std::size_t k : {std::size_t{0}, m / 2, m}) {
+      const UniformKSampler uniform(m, k);
+      const CrashWindowSampler window(m, k, 10.0, 50.0);
+      std::vector<double> row(m);
+      for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        Rng reference(seed), drawn(seed);
+        std::vector<double> expected(m, std::numeric_limits<double>::infinity());
+        for (const std::size_t p : reference.sample_without_replacement(m, k))
+          expected[p] = 0.0;
+        uniform.sample_into(drawn, row.data());
+        ASSERT_EQ(row, expected) << "uniform-k m=" << m << " k=" << k;
+        ASSERT_EQ(reference(), drawn());
+
+        std::fill(expected.begin(), expected.end(),
+                  std::numeric_limits<double>::infinity());
+        for (const std::size_t p : reference.sample_without_replacement(m, k))
+          expected[p] = reference.uniform(10.0, 50.0);
+        window.sample_into(drawn, row.data());
+        ASSERT_EQ(row, expected) << "crash-window m=" << m << " k=" << k;
+        ASSERT_EQ(reference(), drawn());
+      }
+    }
+  }
 }
 
 TEST(ScenarioSamplers, RejectsBadParameters) {
@@ -472,6 +546,24 @@ TEST(Campaign, RejectsMismatchedSamplerSize) {
                CheckError);
 }
 
+TEST(Campaign, RejectsThreadsAndBlockAboveCaps) {
+  // Threads size the per-worker scratches and the block sizes the wave's
+  // crash-time matrix: both are bounded before anything is allocated.
+  Scenario s = random_setup(108, 4, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const UniformKSampler sampler(4, 1);
+  CampaignOptions options;
+  options.replays = 10;
+  options.block = kMaxCampaignBlock + 1;
+  EXPECT_THROW(run_campaign(schedule, *s.costs, sampler, options),
+               CheckError);
+  options.block = 64;
+  options.threads = kMaxCampaignThreads + 1;
+  EXPECT_THROW(run_campaign(schedule, *s.costs, sampler, options),
+               CheckError);
+  options.threads = kMaxCampaignThreads;
+  EXPECT_EQ(run_campaign(schedule, *s.costs, sampler, options).replays, 10u);
+}
 
 TEST(CampaignObs, ReplaysPerSecondGaugeCountsExecutedReplays) {
   // An early-stopped campaign executes only a prefix of its budget; the

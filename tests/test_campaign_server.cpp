@@ -540,6 +540,18 @@ TEST(CampaignServer, RejectsSubprocessExecutionPolicy) {
   EXPECT_THROW(server::CampaignServer{options}, caft::CheckError);
 }
 
+TEST(CampaignServer, RejectsExecutorKnobsAboveTheCaps) {
+  // Every campaign would refuse them, so the server refuses to start.
+  server::ServerOptions threads;
+  threads.session.threads = caft::kMaxCampaignThreads + 1;
+  EXPECT_THROW(server::CampaignServer{threads}, caft::CheckError);
+  server::ServerOptions block;
+  block.session.block = caft::kMaxCampaignBlock + 1;
+  EXPECT_THROW(server::CampaignServer{block}, caft::CheckError);
+  block.session.block = 0;
+  EXPECT_THROW(server::CampaignServer{block}, caft::CheckError);
+}
+
 TEST(CampaignServer, StreamsProgressLinesBeforeTheReport) {
   server::ServerOptions options;
   options.session.block = 64;

@@ -149,6 +149,40 @@ TEST(CampaignWire, WorkOrderRejectsMalformedDocuments) {
   }
 }
 
+TEST(CampaignWire, WorkOrderBoundsExecThreadsAndBlock) {
+  // `exec` sizes worker allocations directly (a replay scratch per thread,
+  // a block × m crash-time matrix): values past the documented caps are
+  // refused by the reader, before the worker allocates anything. (The
+  // executor applies the same caps: test_campaign.cpp.)
+  const auto read = [](const CampaignWorkOrder& order) {
+    std::istringstream is(to_text(order));
+    return read_campaign_work_order(is);
+  };
+  CampaignWorkOrder at_caps = sample_order();
+  at_caps.threads = caft::kMaxCampaignThreads;
+  at_caps.block = caft::kMaxCampaignBlock;
+  const CampaignWorkOrder back = read(at_caps);
+  EXPECT_EQ(back.threads, caft::kMaxCampaignThreads);
+  EXPECT_EQ(back.block, caft::kMaxCampaignBlock);
+
+  CampaignWorkOrder threads = sample_order();
+  threads.threads = caft::kMaxCampaignThreads + 1;
+  EXPECT_THROW((void)read(threads), CheckError);
+  CampaignWorkOrder block = sample_order();
+  block.block = caft::kMaxCampaignBlock + 1;
+  EXPECT_THROW((void)read(block), CheckError);
+  block.block = 0;
+  EXPECT_THROW((void)read(block), CheckError);
+  {  // a count no allocation could honour
+    std::string doc = to_text(sample_order());
+    const std::size_t at = doc.find("exec ");
+    doc.replace(at, doc.find('\n', at) - at,
+                "exec 1 incremental 18446744073709551615");
+    std::istringstream is(doc);
+    EXPECT_THROW((void)read_campaign_work_order(is), CheckError);
+  }
+}
+
 TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
   // A v2 document is not "corruption": the reader must tell the peer it
   // speaks v1 so a future writer is told to downgrade, not to debug bytes.

@@ -1,11 +1,13 @@
 /// Tests of the observability subsystem (src/obs): exact counters and
 /// histograms under multi-thread contention (this file runs in the TSan CI
-/// suite), trace JSON well-formedness, metrics snapshot round-trip, and
-/// the zero-allocation guarantee of the disabled hot path.
+/// suite), trace JSON well-formedness, metrics snapshot round-trip, the
+/// zero-allocation guarantee of the disabled hot path, and the campaign
+/// wave executor's steady-state allocations and per-stage histograms.
 #include "obs/obs.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +16,11 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "algo/caft.hpp"
+#include "campaign/campaign.hpp"
+#include "campaign/scenario_sampler.hpp"
+#include "helpers.hpp"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps a
@@ -34,10 +41,26 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// they must count, and their blocks reach the free() below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_allocations;
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_allocations;
+  return std::malloc(size);
+}
+// Out of line: inlined into a caller, GCC pairs a `new T` with the free()
+// below and warns (-Wmismatched-new-delete), not seeing the malloc above.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -250,6 +273,75 @@ TEST(ObsSpan, MoveTransfersRecordingResponsibility) {
     // `a` is inert after the move; only `b`'s destruction records.
   }
   EXPECT_EQ(registry.trace_event_count(), 1u);
+}
+
+// ------------------------------------------------------ campaign executor
+
+caft::Schedule paper_schedule(const caft::test::Scenario& s) {
+  caft::CaftOptions options;
+  options.base = caft::SchedulerOptions{2, caft::CommModelKind::kOnePort};
+  return caft::caft_schedule(s.graph, *s.platform, *s.costs, options);
+}
+
+TEST(ObsCampaign, SteadyStateWavesAllocateNothing) {
+  // The paper's model: uniform-k(2) over m = 10 has C(10, 2) = 45 dead
+  // sets, so the first 1,024-draw wave meets every one of them and each
+  // later wave is answered by the record memo alone. Those waves must not
+  // allocate: the crash-time matrix, the grouping table and the per-group
+  // records are reused, memo lookups go through a string_view, and no
+  // thread is spawned for a wave without misses. So 16 waves allocate
+  // exactly as often as 8 do.
+  const caft::test::Scenario s = caft::test::random_setup(66, 10, 1.0);
+  const caft::Schedule schedule = paper_schedule(s);
+  const caft::UniformKSampler sampler(10, 2);
+  const auto allocations = [&](std::size_t waves) {
+    caft::CampaignOptions options;
+    options.threads = 1;
+    options.replays = waves * options.block;
+    const std::uint64_t before = t_allocations;
+    const caft::CampaignSummary summary =
+        caft::run_campaign(schedule, *s.costs, sampler, options);
+    const std::uint64_t spent = t_allocations - before;
+    EXPECT_EQ(summary.replays, options.replays);
+    return spent;
+  };
+  // A first campaign pays the one-time costs: the registry creates the
+  // storage behind each metric name on first use.
+  (void)allocations(1);
+  const std::uint64_t eight = allocations(8);
+  const std::uint64_t sixteen = allocations(16);
+  EXPECT_EQ(sixteen, eight) << "8 more waves allocated "
+                            << static_cast<std::int64_t>(sixteen - eight)
+                            << " more times";
+}
+
+TEST(ObsCampaign, WaveStageHistogramsExistOnceArmed) {
+  // Armed, every wave observes its four stages once: sampling, grouping
+  // (with the memo lookups), replaying the misses and the fold.
+  const caft::test::Scenario s = caft::test::random_setup(67, 10, 1.0);
+  const caft::Schedule schedule = paper_schedule(s);
+  const caft::UniformKSampler sampler(10, 2);
+  caft::CampaignOptions options;
+  options.threads = 2;
+  options.block = 100;
+  options.replays = 350;  // four waves, the last one short
+  obs::Registry& registry = obs::Registry::global();
+  registry.set_enabled(true);
+  (void)caft::run_campaign(schedule, *s.costs, sampler, options);
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  registry.set_enabled(false);
+  for (const char* stage : {"sample", "group", "replay", "fold"}) {
+    const std::string name =
+        std::string("campaign.wave.") + stage + ".seconds";
+    const auto found = std::find_if(
+        snapshot.histograms.begin(), snapshot.histograms.end(),
+        [&](const obs::MetricsSnapshot::HistogramValue& h) {
+          return h.name == name;
+        });
+    ASSERT_NE(found, snapshot.histograms.end()) << name;
+    EXPECT_EQ(found->count, 4u) << name;
+    EXPECT_GE(found->sum, 0.0) << name;
+  }
 }
 
 }  // namespace

@@ -183,6 +183,32 @@ TEST(CampaignWorker, RefusesDivergentSchedulePins) {
   EXPECT_THROW(run_campaign_worker(in, out), caft::CheckError);
 }
 
+TEST(SessionSubprocess, RefusesOverCapExecKnobsBeforeSpawning) {
+  // A worker refuses an `exec` line above the caps, so the coordinator
+  // never writes one. The worker command does not exist: a coordinator
+  // that got as far as spawning would fail with a different error.
+  const Instance instance = random_instance(304, 6, 1.0, 1);
+  const CampaignSpec spec = lifetime_spec(50);
+  const auto expect_refused = [&](const SessionOptions& options,
+                                  const std::string& reason) {
+    try {
+      (void)Session(options).evaluate(instance, spec);
+      ADD_FAILURE() << "accepted; expected: " << reason;
+    } catch (const caft::CheckError& error) {
+      EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+          << error.what();
+    }
+  };
+  SessionOptions threads;
+  threads.exec = ExecutionPolicy::subprocess("/nonexistent/campaign_cli", 1);
+  threads.exec.worker_threads = caft::kMaxCampaignThreads + 1;
+  expect_refused(threads, "worker threads exceed the cap");
+  SessionOptions block = threads;
+  block.exec.worker_threads = 1;
+  block.block = caft::kMaxCampaignBlock + 1;
+  expect_refused(block, "block size must be in [1, ");
+}
+
 TEST(SessionSubprocess, ByteIdenticalAcrossWorkerCounts) {
   const std::string cli = cli_path();
   if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";

@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -101,14 +102,10 @@ class PreSnappedSampler final : public ScenarioSampler {
   [[nodiscard]] std::size_t proc_count() const override {
     return base_.proc_count();
   }
-  [[nodiscard]] CrashScenario sample(Rng& rng) const override {
-    CrashScenario scenario = base_.sample(rng);
-    for (std::size_t p = 0; p < proc_count(); ++p) {
-      const ProcId proc(static_cast<ProcId::value_type>(p));
-      scenario.set_crash_time(proc,
-                              snapped(scenario.crash_time(proc), width_));
-    }
-    return scenario;
+  void sample_into(Rng& rng, double* row) const override {
+    base_.sample_into(rng, row);
+    for (std::size_t p = 0; p < proc_count(); ++p)
+      row[p] = snapped(row[p], width_);
   }
 
  private:
@@ -339,6 +336,56 @@ TEST(CampaignRecordMemo, CountersAreExactAtEveryThreadCount) {
       EXPECT_EQ(telemetry.memo_entries, reference.memo_entries)
           << sampler->name() << " threads " << threads;
     }
+  }
+}
+
+TEST(CampaignRecordMemo, CountersMatchPinnedCanonicalGroupOrder) {
+  // Which groups miss, and which records survive a clear-on-threshold
+  // eviction, depend on the order in which a wave's groups consult and fill
+  // the memo: the canonical order (earliest crash, then the crash-time
+  // vector). The counters below were recorded from the sort-based grouping
+  // executor; any grouping that keeps that order reproduces them exactly,
+  // at every thread count.
+  struct Pinned {
+    std::uint64_t lookups, hits, evictions;
+  };
+  const auto expect_pinned = [](const CampaignTelemetry& telemetry,
+                                const Pinned& pinned, const char* sampler,
+                                std::size_t threads) {
+    SCOPED_TRACE(std::string(sampler) + " threads " +
+                 std::to_string(threads));
+    EXPECT_EQ(telemetry.memo_lookups, pinned.lookups);
+    EXPECT_EQ(telemetry.memo_hits, pinned.hits);
+    EXPECT_EQ(telemetry.memo_evictions, pinned.evictions);
+  };
+  const Scenario paper = random_setup(64, 10, 1.0);
+  const Schedule paper_schedule = caft_for(paper, 2);
+  const UniformKSampler uniform(10, 2);
+  // 16 processors x 4096 buckets: 65,536 snapped keys, enough distinct
+  // draws to pass the 1 << 15 record cap and evict.
+  const Scenario chain_setup = test::uniform_setup(chain(3, 2.0), 16, 2.0, 1.0);
+  const Schedule chain_schedule = caft_for(chain_setup, 1);
+  const CrashWindowSampler window(16, 1, 0.0, chain_schedule.horizon());
+  for (const std::size_t threads : {1u, 4u}) {
+    CampaignOptions options;
+    options.replays = 3000;
+    options.block = 64;
+    options.seed = 7;
+    options.threads = threads;
+    CampaignTelemetry telemetry;
+    (void)run_campaign(paper_schedule, *paper.costs, uniform, options,
+                       &telemetry);
+    expect_pinned(telemetry, Pinned{1612, 1567, 0}, "uniform-k", threads);
+
+    CampaignOptions bucketed;
+    bucketed.replays = 100000;
+    bucketed.seed = 11;
+    bucketed.threads = threads;
+    bucketed.theta_bucket_width = chain_schedule.horizon() / 4096.0;
+    (void)run_campaign(chain_schedule, *chain_setup.costs, window, bucketed,
+                       &telemetry);
+    expect_pinned(telemetry, Pinned{99188, 25849, 2}, "crash-window",
+                  threads);
   }
 }
 
