@@ -35,36 +35,27 @@ if(NOT text_rc EQUAL 0)
   message(FATAL_ERROR "campaign_cli (text run) exited with ${text_rc}")
 endif()
 
-# Execution-policy cross-checks: a single worker thread and the exactness
-# escape hatch (a no-op without --theta-buckets) must reproduce the *same*
-# golden text byte for byte (neither is observable in any report; see
-# campaign/campaign.hpp).
-foreach(variant "threads1" "exact")
-  if(variant STREQUAL "threads1")
-    set(variant_args --threads 1)
-  else()
-    set(variant_args --exact)
-  endif()
-  execute_process(
-    COMMAND ${CLI} ${GOLDEN_ARGS} ${variant_args} ${OBS_ARGS}
-    OUTPUT_FILE ${WORK_DIR}/campaign_report_${variant}.txt
-    RESULT_VARIABLE variant_rc
-    WORKING_DIRECTORY ${WORK_DIR})
-  if(NOT variant_rc EQUAL 0)
-    message(FATAL_ERROR
-      "campaign_cli (${variant_args} run) exited with ${variant_rc}")
-  endif()
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${WORK_DIR}/campaign_report_${variant}.txt
-            ${GOLDEN_DIR}/campaign_report.txt
-    RESULT_VARIABLE variant_diff_rc)
-  if(NOT variant_diff_rc EQUAL 0)
-    message(FATAL_ERROR
-      "${variant_args} report differs from the golden text — execution "
-      "policy leaked into the summary")
-  endif()
-endforeach()
+# Execution-policy cross-check: a single worker thread must reproduce the
+# *same* golden text byte for byte (thread count is not observable in any
+# report; see campaign/campaign.hpp).
+execute_process(
+  COMMAND ${CLI} ${GOLDEN_ARGS} --threads 1 ${OBS_ARGS}
+  OUTPUT_FILE ${WORK_DIR}/campaign_report_threads1.txt
+  RESULT_VARIABLE threads1_rc
+  WORKING_DIRECTORY ${WORK_DIR})
+if(NOT threads1_rc EQUAL 0)
+  message(FATAL_ERROR "campaign_cli (--threads 1 run) exited with ${threads1_rc}")
+endif()
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files
+          ${WORK_DIR}/campaign_report_threads1.txt
+          ${GOLDEN_DIR}/campaign_report.txt
+  RESULT_VARIABLE threads1_diff_rc)
+if(NOT threads1_diff_rc EQUAL 0)
+  message(FATAL_ERROR
+    "--threads 1 report differs from the golden text — execution policy "
+    "leaked into the summary")
+endif()
 
 execute_process(
   COMMAND ${CLI} ${GOLDEN_ARGS} --csv out --json out ${OBS_ARGS}

@@ -1,5 +1,7 @@
 #include "api/campaign_wire.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -34,12 +36,18 @@ double parse_double(const std::string& token, const char* what) {
 }
 
 std::size_t parse_size(const std::string& token, const char* what) {
+  static_assert(sizeof(std::size_t) == sizeof(unsigned long long),
+                "seeds (u64) share the size_t parser");
   CAFT_CHECK_MSG(!token.empty() &&
                      token.find_first_not_of("0123456789") ==
                          std::string::npos,
                  std::string("campaign wire: malformed ") + what + " '" +
                      token + "'");
-  return static_cast<std::size_t>(std::stoull(token));
+  errno = 0;
+  const unsigned long long value = std::strtoull(token.c_str(), nullptr, 10);
+  CAFT_CHECK_MSG(errno != ERANGE, std::string("campaign wire: ") + what +
+                                      " '" + token + "' is out of range");
+  return static_cast<std::size_t>(value);
 }
 
 bool parse_bool(const std::string& token, const char* what) {
@@ -109,10 +117,6 @@ SamplerSpec::Kind sampler_kind_from(const std::string& name) {
                          "'");
 }
 
-}  // namespace
-
-namespace wire {
-
 void write_sampler_line(std::ostream& os, const SamplerSpec& sampler) {
   os << "sampler " << sampler_kind_name(sampler.kind) << " "
      << sampler.failures << " " << format_double(sampler.rate) << " "
@@ -140,26 +144,6 @@ void read_sampler_line(std::istringstream& fields, SamplerSpec& sampler) {
       parse_size(next_token(fields, "sampler group-size"), "group-size");
   sampler.group_prob =
       parse_double(next_token(fields, "sampler group-prob"), "group-prob");
-}
-
-void write_request_line(std::ostream& os, const ScheduleRequest& request) {
-  os << "request ";
-  if (request.eps.has_value())
-    os << *request.eps;
-  else
-    os << "-";
-  os << " ";
-  if (request.model.has_value())
-    os << (*request.model == caft::CommModelKind::kOnePort ? "oneport"
-                                                           : "macro");
-  else
-    os << "-";
-  os << " " << (request.validate ? 1 : 0) << " "
-     << (request.support_mode == caft::CaftSupportMode::kDirect
-             ? "direct"
-             : "transitive")
-     << " " << (request.one_to_one ? 1 : 0) << " " << request.batch_size
-     << " " << (request.minimize_start_time ? 1 : 0) << "\n";
 }
 
 void read_request_line(std::istringstream& fields, ScheduleRequest& request) {
@@ -194,6 +178,72 @@ void read_request_line(std::istringstream& fields, ScheduleRequest& request) {
       parse_bool(next_token(fields, "request mst"), "mst");
 }
 
+void read_quantiles(std::istringstream& fields, std::vector<double>& out) {
+  const std::size_t n =
+      parse_size(next_token(fields, "quantile count"), "quantile count");
+  // Append as the tokens parse: `n` is the peer's claim, and a short line
+  // must fail naming the missing field, never reserve n doubles first.
+  out.clear();
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back(parse_double(next_token(fields, "quantile"), "quantile"));
+}
+
+}  // namespace
+
+namespace wire {
+
+void write_request_line(std::ostream& os, const ScheduleRequest& request) {
+  os << "request ";
+  if (request.eps.has_value())
+    os << *request.eps;
+  else
+    os << "-";
+  os << " ";
+  if (request.model.has_value())
+    os << (*request.model == caft::CommModelKind::kOnePort ? "oneport"
+                                                           : "macro");
+  else
+    os << "-";
+  os << " " << (request.validate ? 1 : 0) << " "
+     << (request.support_mode == caft::CaftSupportMode::kDirect
+             ? "direct"
+             : "transitive")
+     << " " << (request.one_to_one ? 1 : 0) << " " << request.batch_size
+     << " " << (request.minimize_start_time ? 1 : 0) << "\n";
+}
+
+void write_spec_lines(std::ostream& os, const CampaignSpec& spec) {
+  os << "replays " << spec.replays << "\n";
+  os << "seed " << spec.seed << "\n";
+  os << "quantiles " << spec.quantiles.size();
+  for (const double q : spec.quantiles) os << " " << format_double(q);
+  os << "\n";
+  os << "theta-buckets " << spec.theta_buckets << "\n";
+  write_sampler_line(os, spec.sampler);
+  write_request_line(os, spec.request);
+}
+
+bool read_spec_line(const std::string& key, std::istringstream& fields,
+                    CampaignSpec& spec) {
+  if (key == "replays") {
+    spec.replays = parse_size(next_token(fields, "replays"), "replays");
+  } else if (key == "seed") {
+    spec.seed = parse_size(next_token(fields, "seed"), "seed");
+  } else if (key == "quantiles") {
+    read_quantiles(fields, spec.quantiles);
+  } else if (key == "theta-buckets") {
+    spec.theta_buckets =
+        parse_size(next_token(fields, "theta-buckets"), "theta-buckets");
+  } else if (key == "sampler") {
+    read_sampler_line(fields, spec.sampler);
+  } else if (key == "request") {
+    read_request_line(fields, spec.request);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 }  // namespace wire
 
 void write_campaign_work_order(std::ostream& os,
@@ -202,15 +252,7 @@ void write_campaign_work_order(std::ostream& os,
   os << "instance " << order.instance_path << "\n";
   os << "algorithm " << order.algorithm << "\n";
   os << "block " << order.first << " " << order.count << "\n";
-  os << "replays " << order.spec.replays << "\n";
-  os << "seed " << order.spec.seed << "\n";
-  os << "quantiles " << order.spec.quantiles.size();
-  for (const double q : order.spec.quantiles) os << " " << format_double(q);
-  os << "\n";
-  os << "theta-buckets " << order.spec.theta_buckets << "\n";
-  os << "exact " << (order.spec.exact ? 1 : 0) << "\n";
-  write_sampler_line(os, order.spec.sampler);
-  write_request_line(os, order.spec.request);
+  write_spec_lines(os, order.spec);
   os << "exec " << order.threads << " "
      << (order.engine == caft::CampaignEngine::kNaive ? "naive"
                                                       : "incremental")
@@ -232,6 +274,7 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
     std::istringstream fields(line);
     std::string key;
     fields >> key;
+    if (read_spec_line(key, fields, order.spec)) continue;
     if (key == "end") {
       saw_end = true;
     } else if (key == "instance") {
@@ -250,33 +293,6 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
       order.first = parse_size(next_token(fields, "block first"), "block first");
       order.count = parse_size(next_token(fields, "block count"), "block count");
       saw_block = true;
-    } else if (key == "replays") {
-      order.spec.replays =
-          parse_size(next_token(fields, "replays"), "replays");
-    } else if (key == "seed") {
-      const std::string token = next_token(fields, "seed");
-      CAFT_CHECK_MSG(!token.empty() &&
-                         token.find_first_not_of("0123456789") ==
-                             std::string::npos,
-                     "campaign wire: malformed seed '" + token + "'");
-      order.spec.seed = std::stoull(token);
-    } else if (key == "quantiles") {
-      const std::size_t n =
-          parse_size(next_token(fields, "quantile count"), "quantile count");
-      order.spec.quantiles.clear();
-      order.spec.quantiles.reserve(n);
-      for (std::size_t i = 0; i < n; ++i)
-        order.spec.quantiles.push_back(
-            parse_double(next_token(fields, "quantile"), "quantile"));
-    } else if (key == "theta-buckets") {
-      order.spec.theta_buckets =
-          parse_size(next_token(fields, "theta-buckets"), "theta-buckets");
-    } else if (key == "exact") {
-      order.spec.exact = parse_bool(next_token(fields, "exact"), "exact");
-    } else if (key == "sampler") {
-      read_sampler_line(fields, order.spec.sampler);
-    } else if (key == "request") {
-      read_request_line(fields, order.spec.request);
     } else if (key == "exec") {
       order.threads = parse_size(next_token(fields, "exec threads"), "threads");
       const std::string engine = next_token(fields, "exec engine");
@@ -499,15 +515,17 @@ void CampaignPartialReader::consume_line(const std::string& line) {
                    "campaign wire: records header before the block range");
     records_expected_ =
         parse_size(next_token(fields, "record count"), "record count");
-    // Validate the header against the echoed block *before* reserving —
-    // a corrupt count must not become a giant allocation (or a silently
-    // short block the fold would accept).
+    // The header must match the echoed block, or a short block would
+    // fold silently. Both counts are the worker's claim, so at most one
+    // maximal wave of records is reserved up front; a longer block grows
+    // as its records parse.
     CAFT_CHECK_MSG(records_expected_ == partial_.count,
                    "campaign wire: records header declares " +
                        std::to_string(records_expected_) +
                        " records for a block of " +
                        std::to_string(partial_.count));
-    partial_.records.reserve(records_expected_);
+    partial_.records.reserve(
+        std::min(records_expected_, caft::kMaxCampaignBlock));
     saw_records_ = true;
   } else {
     throw caft::CheckError("campaign wire: unknown partial key '" + key +

@@ -15,13 +15,13 @@
 ///   instance <path>                      # instance reference (io format)
 ///   algorithm <registry-name>
 ///   block <first> <count>                # contiguous canonical replays
-///   replays <n>  /  seed <u64>
-///   quantiles <k> <q...>                 # hexfloat
-///   theta-buckets <n>  /  exact <0|1>
+///   replays <n>  /  seed <u64>           # the spec lines, shared with the
+///   quantiles <k> <q...>                 # server request through
+///   theta-buckets <n>                    # wire::write_spec_lines /
 ///   sampler <kind> <failures> <rate> <shape> <scale> <horizon>
 ///           <theta-lo> <theta-hi> <group-size> <group-prob>
 ///   request <eps|-> <model|-> <validate> <support> <one-to-one>
-///           <batch-size> <mst>           # "-" = no override
+///           <batch-size> <mst>           # read_spec_line; "-" = no override
 ///   exec <threads> <engine> <block>      # summary-neutral worker knobs;
 ///                                        # threads <= kMaxCampaignThreads,
 ///                                        # 1 <= block <= kMaxCampaignBlock
@@ -114,15 +114,23 @@ void check_magic_line(const std::string& line, const char* magic);
 /// and positions the stream after it.
 void expect_magic(std::istream& is, const char* magic);
 
-/// The `sampler ...` spec line (kind + every distribution parameter,
-/// doubles as hexfloat) — one writer/reader pair shared by the work order
-/// and the server request, so the two documents cannot drift.
-void write_sampler_line(std::ostream& os, const SamplerSpec& sampler);
-void read_sampler_line(std::istringstream& fields, SamplerSpec& sampler);
-/// The `request ...` spec line (ScheduleRequest with "-" for unset
-/// optionals), same sharing story.
+/// The spec lines every campaign document carries — `replays`, `seed`,
+/// `quantiles`, `theta-buckets`, `sampler` (kind + every distribution
+/// parameter, doubles as hexfloat) and `request` (ScheduleRequest with "-"
+/// for unset optionals). One writer/reader pair shared by the work order
+/// and the server request, so the two documents cannot drift; each
+/// document writes and reads only its own keys beside them.
+void write_spec_lines(std::ostream& os, const CampaignSpec& spec);
+/// Parses one spec line whose key is already consumed from `fields`.
+/// Returns false, consuming nothing, when `key` is not a spec key. List
+/// counts (`quantiles <k> ...`) are never trusted for allocation: entries
+/// are appended as they parse, and a short list throws naming the missing
+/// field.
+bool read_spec_line(const std::string& key, std::istringstream& fields,
+                    CampaignSpec& spec);
+/// The `request ...` line alone — also the schedule-request fingerprint of
+/// the server's content cache (server/content_cache.hpp).
 void write_request_line(std::ostream& os, const ScheduleRequest& request);
-void read_request_line(std::istringstream& fields, ScheduleRequest& request);
 
 }  // namespace wire
 

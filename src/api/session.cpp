@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <memory>
@@ -16,7 +14,6 @@
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/hash.hpp"
 #include "common/subprocess.hpp"
 #include "api/campaign_wire.hpp"
 #include "obs/obs.hpp"
@@ -99,7 +96,8 @@ double CampaignSpec::theta_bucket_width(double schedule_horizon) const {
   CAFT_CHECK_MSG(
       std::isfinite(schedule_horizon) && schedule_horizon > 0.0,
       "theta buckets are underivable for a zero or non-finite schedule "
-      "horizon — run such schedules exact (CampaignSpec::exact / --exact)");
+      "horizon — run such schedules exact (theta_buckets = 0 / "
+      "--theta-buckets 0)");
   return schedule_horizon / static_cast<double>(theta_buckets);
 }
 
@@ -123,8 +121,7 @@ Session::Session(SessionOptions options) : options_(options) {}
 namespace {
 
 /// The spec checks every campaign entry point applies, whichever backend
-/// runs it — evaluate_schedule and evaluate_saved both funnel through here
-/// so a spec rejected by one path is rejected by all of them.
+/// runs it, so a spec rejected by one path is rejected by all of them.
 void validate_campaign_spec(const CampaignSpec& spec) {
   CAFT_CHECK_MSG(spec.replays > 0, "campaign replays must be positive");
   if (spec.target_ci_width != 0.0) {
@@ -135,32 +132,27 @@ void validate_campaign_spec(const CampaignSpec& spec) {
   }
 }
 
-}  // namespace
-
-caft::CampaignOptions Session::campaign_options(
-    const CampaignSpec& spec, double schedule_horizon) const {
+/// The one CampaignSpec -> CampaignOptions translation: the in-process
+/// path, the subprocess coordinator and the worker all build their options
+/// here, so the θ-bucket width — which changes replay results — is derived
+/// identically on every side (the worker pins the horizon it passes).
+caft::CampaignOptions campaign_options(const CampaignSpec& spec,
+                                       double schedule_horizon,
+                                       std::size_t threads, std::size_t block,
+                                       caft::CampaignEngine engine) {
   caft::CampaignOptions campaign;
   campaign.replays = spec.replays;
   campaign.seed = spec.seed;
   campaign.quantiles = spec.quantiles;
-  campaign.threads = options_.threads;
-  campaign.block = options_.block;
-  campaign.engine = options_.engine;
-  // An exact campaign never consults the width, so don't derive it —
-  // deriving would (correctly) throw on the degenerate horizons the exact
-  // path exists to serve.
-  campaign.theta_bucket_width =
-      spec.exact ? 0.0 : spec.theta_bucket_width(schedule_horizon);
+  campaign.threads = threads;
+  campaign.block = block;
+  campaign.engine = engine;
+  campaign.theta_bucket_width = spec.theta_bucket_width(schedule_horizon);
   campaign.target_ci_width = spec.target_ci_width;
-  campaign.on_progress = options_.on_progress;
   return campaign;
 }
 
-CampaignRun Session::evaluate_schedule(const Instance& instance,
-                                       ScheduleResult result,
-                                       const CampaignSpec& spec) const {
-  return evaluate_schedule(instance, std::move(result), spec, nullptr);
-}
+}  // namespace
 
 CampaignRun Session::evaluate_schedule(
     const Instance& instance, ScheduleResult result, const CampaignSpec& spec,
@@ -173,12 +165,13 @@ CampaignRun Session::evaluate_schedule(
                   .telemetry = {},
                   .theta_bucket_width = 0.0};
   if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess)
-    return evaluate_schedule_subprocess(instance, std::move(run), spec,
-                                        nullptr);
+    return evaluate_schedule_subprocess(instance, std::move(run), spec);
 
   const auto sampler = spec.sampler.build(instance.proc_count());
   caft::CampaignOptions campaign =
-      campaign_options(spec, run.result.schedule.horizon());
+      campaign_options(spec, run.result.schedule.horizon(), options_.threads,
+                       options_.block, options_.engine);
+  campaign.on_progress = options_.on_progress;
   campaign.prebuilt_engine = replay_template;
   run.theta_bucket_width = campaign.theta_bucket_width;
   run.summary = run_campaign(run.result.schedule, instance.costs(), *sampler,
@@ -188,111 +181,22 @@ CampaignRun Session::evaluate_schedule(
 
 CampaignReport Session::evaluate(const Instance& instance,
                                  const CampaignSpec& spec) const {
-  return evaluate_saved(instance, spec, nullptr);
-}
-
-CampaignReport Session::evaluate_saved(
-    const Instance& instance, const CampaignSpec& spec,
-    const std::string* instance_path) const {
   CAFT_CHECK_MSG(!spec.algorithms.empty(),
                  "campaign spec names no algorithms");
   validate_campaign_spec(spec);
   const SchedulerRegistry& registry = SchedulerRegistry::global();
-
-  // In subprocess mode every algorithm's work orders reference the same
-  // instance file, so one save covers the whole report — and a caller
-  // (evaluate_batch) that already saved these bytes passes its path
-  // through, making the save count one per *distinct content*, not one
-  // per algorithm or per evaluate call.
-  std::unique_ptr<caft::ScratchDir> scratch;
-  std::string saved_path;
-  if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess &&
-      instance_path == nullptr) {
-    scratch = std::make_unique<caft::ScratchDir>("ftsched-campaign");
-    saved_path = scratch->file("instance.txt");
-    instance.save(saved_path);
-    obs::Registry::global().counter("campaign.instance.saves").add(1);
-    instance_path = &saved_path;
-  }
-
   CampaignReport report;
   report.runs.reserve(spec.algorithms.size());
-  for (const std::string& algorithm : spec.algorithms) {
-    const auto scheduler = registry.make(algorithm);
-    ScheduleResult result = scheduler->schedule(instance, spec.request);
-    if (options_.exec.mode == ExecutionPolicy::Mode::kSubprocess) {
-      CampaignRun run{.algorithm = result.algorithm,
-                      .result = std::move(result),
-                      .summary = {},
-                      .telemetry = {},
-                      .theta_bucket_width = 0.0};
-      report.runs.push_back(evaluate_schedule_subprocess(
-          instance, std::move(run), spec, instance_path));
-    } else {
-      report.runs.push_back(
-          evaluate_schedule(instance, std::move(result), spec, nullptr));
-    }
-  }
+  for (const std::string& algorithm : spec.algorithms)
+    report.runs.push_back(evaluate_schedule(
+        instance, registry.make(algorithm)->schedule(instance, spec.request),
+        spec));
   return report;
 }
 
-std::vector<CampaignReport> Session::evaluate_batch(
-    std::span<const Instance> instances, const CampaignSpec& spec) const {
-  return evaluate_batch(instances, spec, options_.exec);
-}
-
-std::vector<CampaignReport> Session::evaluate_batch(
-    std::span<const Instance> instances, const CampaignSpec& spec,
-    const ExecutionPolicy& exec) const {
-  // The per-instance campaigns are independent by construction and each one
-  // already saturates its execution backend (the in-process thread budget,
-  // or the subprocess worker pool), so instances run sequentially and the
-  // parallelism lives inside evaluate().
-  SessionOptions dispatch_options = options_;
-  dispatch_options.exec = exec;
-  const Session dispatch(dispatch_options);
-  std::vector<CampaignReport> reports;
-  reports.reserve(instances.size());
-
-  if (exec.mode != ExecutionPolicy::Mode::kSubprocess) {
-    for (const Instance& instance : instances)
-      reports.push_back(dispatch.evaluate(instance, spec));
-    return reports;
-  }
-
-  // Subprocess batches dedupe instance saves by content: sweeps routinely
-  // evaluate the same DAG under several specs or repeated Instance objects,
-  // and the archival text serialization is the expensive part of dispatch.
-  // One file per distinct byte content (FNV-1a over the serialized form —
-  // the same hash the server's content cache keys on), every evaluate of
-  // equal content reuses it.
-  const caft::ScratchDir scratch("ftsched-batch");
-  std::map<std::uint64_t, std::string> saved;  // content hash -> saved path
-  for (const Instance& instance : instances) {
-    std::ostringstream bytes;
-    instance.save(bytes);
-    const std::uint64_t key = caft::fnv1a64(bytes.str());
-    auto it = saved.find(key);
-    if (it == saved.end()) {
-      char name[32];
-      std::snprintf(name, sizeof name, "instance-%016llx.txt",
-                    static_cast<unsigned long long>(key));
-      std::string path = scratch.file(name);
-      std::ofstream out(path, std::ios::binary);
-      out << bytes.str();
-      CAFT_CHECK_MSG(out.good(), "cannot write batch instance file " + path);
-      out.close();
-      obs::Registry::global().counter("campaign.instance.saves").add(1);
-      it = saved.emplace(key, std::move(path)).first;
-    }
-    reports.push_back(dispatch.evaluate_saved(instance, spec, &it->second));
-  }
-  return reports;
-}
-
 CampaignRun Session::evaluate_schedule_subprocess(
-    const Instance& instance, CampaignRun run, const CampaignSpec& spec,
-    const std::string* instance_path_hint) const {
+    const Instance& instance, CampaignRun run,
+    const CampaignSpec& spec) const {
   const ExecutionPolicy& exec = options_.exec;
   CAFT_CHECK_MSG(!exec.worker_command.empty(),
                  "subprocess execution needs ExecutionPolicy::worker_command "
@@ -312,22 +216,16 @@ CampaignRun Session::evaluate_schedule_subprocess(
   // Hand the instance to workers through the archival text format (exact
   // double round-trip); scheduling is deterministic, so every worker
   // rebuilds the coordinator's schedule bit-for-bit — and proves it against
-  // the `expect` pins below. A caller that already saved these bytes
-  // (evaluate_saved / evaluate_batch) passes its path, and no new file is
-  // written here.
-  std::unique_ptr<caft::ScratchDir> scratch;
-  std::string instance_path;
-  if (instance_path_hint != nullptr) {
-    instance_path = *instance_path_hint;
-  } else {
-    scratch = std::make_unique<caft::ScratchDir>("ftsched-campaign");
-    instance_path = scratch->file("instance.txt");
-    instance.save(instance_path);
-    obs::Registry::global().counter("campaign.instance.saves").add(1);
-  }
+  // the `expect` pins below. This is the only place a campaign saves its
+  // instance: one file per subprocess campaign, shared by all its blocks.
+  const caft::ScratchDir scratch("ftsched-campaign");
+  const std::string instance_path = scratch.file("instance.txt");
+  instance.save(instance_path);
+  obs::Registry::global().counter("campaign.instance.saves").add(1);
 
   const double horizon = run.result.schedule.horizon();
-  const caft::CampaignOptions campaign = campaign_options(spec, horizon);
+  const caft::CampaignOptions campaign = campaign_options(
+      spec, horizon, exec.worker_threads, options_.block, options_.engine);
   run.theta_bucket_width = campaign.theta_bucket_width;
 
   // Work-order template shared by every block.
@@ -339,9 +237,9 @@ CampaignRun Session::evaluate_schedule_subprocess(
   // instance file, which carries neither RunOptions field.
   order.spec.request.eps = run.result.eps;
   order.spec.request.model = run.result.schedule.model();
-  order.threads = exec.worker_threads;
-  order.engine = options_.engine;
-  order.block = options_.block;
+  order.threads = campaign.threads;
+  order.engine = campaign.engine;
+  order.block = campaign.block;
   order.expect_makespan = run.result.makespan;
   order.expect_horizon = horizon;
 
@@ -499,7 +397,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
       // `!failed` also here: once any block exhausts its budget the
       // campaign is doomed — don't keep spawning retries for it.
       for (std::size_t attempt = 0;
-           attempt <= exec.max_retries && !done && !failed.load();
+           attempt < kWorkerAttempts && !done && !failed.load();
            ++attempt) {
         if (attempt > 0) {
           retries_counter.add(1);
@@ -557,7 +455,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
           error = "campaign worker failed on scenario block [" +
                   std::to_string(blocks[b].first) + ", " +
                   std::to_string(blocks[b].first + blocks[b].count) +
-                  ") after " + std::to_string(exec.max_retries + 1) +
+                  ") after " + std::to_string(kWorkerAttempts) +
                   " attempts: " + last_failure;
         failed.store(true);
         fold_cv.notify_all();  // wake window-gated claimers to exit
@@ -598,26 +496,15 @@ CampaignRun Session::evaluate_schedule_subprocess(
 
   // Worker processes run with *their* registries disabled, so the
   // coordinator is the single place their counters reach this process's
-  // metrics — no double counting with the in-process path, which folds
+  // metrics — no double counting with the in-process path, which publishes
   // inside run_campaign instead.
+  caft::publish_campaign_metrics(run.telemetry);
   if (registry.enabled()) {
     registry.counter("campaign.replays").add(folded_replays);
     registry.counter("campaign.blocks").add(next_to_fold);
     registry.gauge("campaign.fold.window_peak")
         .set(static_cast<double>(window_peak));
     registry.counter("campaign.fold.blocks_buffered").add(blocks_buffered);
-    registry.counter("campaign.memo.lookups").add(run.telemetry.memo_lookups);
-    registry.counter("campaign.memo.hits").add(run.telemetry.memo_hits);
-    registry.counter("campaign.memo.evictions")
-        .add(run.telemetry.memo_evictions);
-    registry.gauge("campaign.memo.entries")
-        .set(static_cast<double>(run.telemetry.memo_entries));
-    registry.gauge("campaign.snapshots")
-        .set(static_cast<double>(run.telemetry.snapshots));
-    if (campaign_elapsed.count() > 0.0)
-      registry.gauge("campaign.replays_per_second")
-          .set(static_cast<double>(folded_replays) /
-               campaign_elapsed.count());
     if (worker_replay_seconds > 0.0)
       registry.gauge("campaign.worker.replay_seconds_total")
           .set(worker_replay_seconds);
@@ -650,18 +537,10 @@ void run_campaign_worker(std::istream& in, std::ostream& out) {
                    "(horizon mismatch — mixed worker binaries?)");
 
   const auto sampler = order.spec.sampler.build(instance.proc_count());
-  caft::CampaignOptions campaign;
-  campaign.replays = order.spec.replays;
-  campaign.seed = order.spec.seed;
-  campaign.quantiles = order.spec.quantiles;
-  campaign.threads = order.threads;
-  campaign.block = order.block;
-  campaign.engine = order.engine;
-  // The shared derivation (CampaignSpec::theta_bucket_width) — horizon is
-  // pinned above, so the width matches the coordinator's bit-for-bit (and
-  // like the coordinator, an exact campaign never derives one).
-  campaign.theta_bucket_width =
-      order.spec.exact ? 0.0 : order.spec.theta_bucket_width(horizon);
+  // The coordinator's own options builder — horizon is pinned above, so
+  // the θ-bucket width matches the coordinator's bit-for-bit.
+  const caft::CampaignOptions campaign = campaign_options(
+      order.spec, horizon, order.threads, order.block, order.engine);
 
   // Stream the partial document: header up front, each completed wave's
   // records the moment they exist, the mergeable fold state (`counts`) and

@@ -1,5 +1,5 @@
 /// \file api/session.hpp
-/// `ftsched::Session` — the batch/campaign service facade of the library.
+/// `ftsched::Session` — the campaign service facade of the library.
 ///
 /// A Session owns the execution policy of fault-injection campaigns: the
 /// worker-thread budget, the replay engine choice, the wave size and where
@@ -10,18 +10,20 @@
 /// the replay/seed budget — and the Session turns it into scheduled
 /// instances and folded `CampaignReport`s.
 ///
-/// Determinism contract (inherited from campaign/run_campaign): a report is
-/// a pure function of (instance, spec) — thread count, engine and block
-/// size never change a summary. `evaluate` is therefore
-/// bit-identical to hand-rolling registry->schedule + run_campaign with the
-/// same seeds, and tests/test_api.cpp holds it to that.
+/// There is one campaign path per schedule. `evaluate` schedules every
+/// spec algorithm and hands each schedule to `evaluate_schedule`, which
+/// runs the campaign in this process or — under a subprocess
+/// `ExecutionPolicy` — fans its scenario stream out to worker processes
+/// (see api/campaign_wire.hpp for the protocol). Every frontend
+/// (campaign_cli, the campaign server, benches) reaches campaigns through
+/// these two calls.
 ///
-/// `evaluate_batch` is the multi-instance entry point and the single choke
-/// point of process-level campaign scale-out: an `ExecutionPolicy` can fan
-/// each campaign's scenario stream out to worker processes (see
-/// api/campaign_wire.hpp for the protocol) — the deterministic split-stream
-/// contract makes the results placement-independent, and the coordinator's
-/// canonical-order fold makes them *byte-identical* to in-process runs.
+/// Determinism contract (inherited from campaign/run_campaign): a report is
+/// a pure function of (instance, spec) — thread count, engine, block size
+/// and execution mode never change a summary. `evaluate` is therefore
+/// bit-identical to hand-rolling registry->schedule + run_campaign with the
+/// same seeds (tests/test_api.cpp), and the coordinator's canonical-order
+/// fold makes subprocess reports *byte-identical* to in-process ones.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +32,6 @@
 #include <iosfwd>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,8 +106,6 @@ struct CampaignSpec {
   /// and snap every crash time to its bucket midpoint (0 = off, bit-exact
   /// replays). Works with either engine.
   std::size_t theta_buckets = 0;
-  /// Exactness escape hatch: bit-exact replays even with buckets set.
-  bool exact = false;
   /// Early stopping: stop once the Wilson 95% interval around the folded
   /// prefix's success rate is at most this wide (0 = off, run all
   /// replays). The summary then covers a *contiguous canonical prefix* of
@@ -128,10 +127,15 @@ struct CampaignSpec {
   /// replay results, so the two sides must agree bit-for-bit. Throws
   /// caft::CheckError when buckets are requested for a zero or non-finite
   /// horizon (empty or fully-dead schedule): no meaningful width is
-  /// derivable, so the caller must take the exact path instead of
-  /// silently replaying with 0-width buckets.
+  /// derivable, so such schedules must run with theta_buckets = 0 instead
+  /// of silently replaying with 0-width buckets.
   [[nodiscard]] double theta_bucket_width(double schedule_horizon) const;
 };
+
+/// Attempts a subprocess campaign makes per scenario block before it fails:
+/// one run plus two retries after a worker failure (crash, nonzero exit,
+/// unparseable output).
+inline constexpr std::size_t kWorkerAttempts = 3;
 
 /// How a Session physically executes campaigns: in this process (the
 /// default) or fanned out across worker *processes*. Like every other
@@ -165,9 +169,6 @@ struct ExecutionPolicy {
   /// (max(2 × n_workers, 4)). Can never change a summary — only when each
   /// buffered block folds.
   std::size_t reorder_window = 0;
-  /// Extra attempts per block after a worker failure (crash, nonzero exit,
-  /// unparseable output) before the campaign gives up.
-  std::size_t max_retries = 2;
   /// Worker program: anything accepting `--worker` and speaking the
   /// campaign wire protocol on stdin/stdout — normally the campaign_cli
   /// binary. Required in subprocess mode.
@@ -233,69 +234,38 @@ class Session {
   [[nodiscard]] const SessionOptions& options() const { return options_; }
 
   /// Schedules every spec.algorithms entry via the registry, campaigns each
-  /// schedule under spec.sampler, returns the runs in spec order.
-  /// The report's schedules reference `instance` — same lifetime rule as
-  /// ScheduleResult.
+  /// schedule under spec.sampler (evaluate_schedule), returns the runs in
+  /// spec order. The report's schedules reference `instance` — same
+  /// lifetime rule as ScheduleResult.
   [[nodiscard]] CampaignReport evaluate(const Instance& instance,
                                         const CampaignSpec& spec) const;
 
   /// Campaigns one pre-built schedule (no re-scheduling) — the building
-  /// block evaluate() loops over, exposed for benches that schedule once
-  /// and sweep campaign configurations. Takes the result by value (it is
-  /// carried into the returned run); pass a copy to keep the original.
-  [[nodiscard]] CampaignRun evaluate_schedule(const Instance& instance,
-                                              ScheduleResult result,
-                                              const CampaignSpec& spec) const;
-
-  /// Same, reusing a caller-cached replay template (the campaign server's
-  /// content-addressed ReplayEngine cache): a non-null `replay_template`
-  /// must have been built from `result`'s schedule and `instance`'s costs
-  /// with the θ-width/exact configuration this spec derives, and outlive
-  /// the call. In-process backend only — the subprocess backend's engines
-  /// live in worker processes, so the hint is ignored there. Results are
-  /// bit-identical with and without the template (the engine's purity
-  /// contract); only construction time is saved.
+  /// block evaluate() loops over, exposed for frontends that schedule
+  /// themselves (campaign_cli prints each schedule before its campaign, the
+  /// server serves schedules from its cache, benches sweep campaign
+  /// configurations). Takes the result by value (it is carried into the
+  /// returned run); pass a copy to keep the original.
+  ///
+  /// A non-null `replay_template` is a caller-cached ReplayEngine (the
+  /// campaign server's content-addressed cache). It must have been built
+  /// from `result`'s schedule and `instance`'s costs, and outlive the call.
+  /// In-process backend only — the subprocess backend's engines live in
+  /// worker processes, so it is ignored there. Results are bit-identical
+  /// with and without it (the engine's purity contract); only construction
+  /// time is saved.
   [[nodiscard]] CampaignRun evaluate_schedule(
       const Instance& instance, ScheduleResult result,
       const CampaignSpec& spec,
-      const caft::ReplayEngine* replay_template) const;
-
-  /// Multi-instance entry point; reports in instance order. This is the
-  /// choke point where campaigns scale out across processes: with a
-  /// subprocess ExecutionPolicy (the session's, or the override below) each
-  /// campaign's scenario stream is split into contiguous blocks, dispatched
-  /// to worker processes, retried on failure, and folded back in canonical
-  /// scenario order — byte-identical to the in-process result. Callers
-  /// should prefer it over looping evaluate() so sharding stays transparent
-  /// to them.
-  [[nodiscard]] std::vector<CampaignReport> evaluate_batch(
-      std::span<const Instance> instances, const CampaignSpec& spec) const;
-
-  /// Same, with an explicit execution policy overriding the session's.
-  [[nodiscard]] std::vector<CampaignReport> evaluate_batch(
-      std::span<const Instance> instances, const CampaignSpec& spec,
-      const ExecutionPolicy& exec) const;
+      const caft::ReplayEngine* replay_template = nullptr) const;
 
  private:
-  [[nodiscard]] caft::CampaignOptions campaign_options(
-      const CampaignSpec& spec, double schedule_horizon) const;
-
-  /// evaluate() with an optional pre-saved instance file: a non-null
-  /// `instance_path` is handed to every subprocess work order instead of
-  /// saving a fresh scratch copy — how evaluate_batch dedupes the handoff
-  /// of instances that share content (one write per distinct content hash
-  /// per batch). In-process campaigns ignore it.
-  [[nodiscard]] CampaignReport evaluate_saved(
-      const Instance& instance, const CampaignSpec& spec,
-      const std::string* instance_path) const;
-
-  /// The subprocess coordinator behind evaluate_schedule: blocks, workers,
-  /// retries, canonical-order fold (api/session.cpp has the details).
-  /// `instance_path`, when non-null, is a ready instance file to reference
-  /// in work orders (no save); otherwise a scratch copy is written.
+  /// The subprocess coordinator behind evaluate_schedule: saves the
+  /// instance once per campaign, then blocks, workers, retries,
+  /// canonical-order fold (api/session.cpp has the details).
   [[nodiscard]] CampaignRun evaluate_schedule_subprocess(
-      const Instance& instance, CampaignRun run, const CampaignSpec& spec,
-      const std::string* instance_path) const;
+      const Instance& instance, CampaignRun run,
+      const CampaignSpec& spec) const;
 
   SessionOptions options_;
 };

@@ -376,9 +376,9 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   range_span.finish();
 
   // Gather memo/snapshot counters once, for both the telemetry out-param
-  // and the registry fold (the registry fold happens only here for the
-  // in-process backend; the subprocess coordinator folds worker partials
-  // itself, so counts are never doubled).
+  // and the registry (published here for the in-process backend; the
+  // subprocess coordinator publishes the worker partials it folds, so
+  // counts are never doubled).
   CampaignTelemetry gathered;
   gathered.memo_lookups = memo_lookups;
   gathered.memo_hits = memo_hits;
@@ -392,23 +392,26 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   gathered.workers = threads;
   gathered.wall_seconds = range_elapsed.count();
 
-  if (registry.enabled()) {
-    registry.counter("campaign.memo.lookups").add(gathered.memo_lookups);
-    registry.counter("campaign.memo.hits").add(gathered.memo_hits);
-    registry.counter("campaign.memo.evictions").add(gathered.memo_evictions);
-    registry.gauge("campaign.memo.entries")
-        .set(static_cast<double>(gathered.memo_entries));
-    registry.gauge("campaign.snapshots")
-        .set(static_cast<double>(gathered.snapshots));
-    if (gathered.wall_seconds > 0.0)
-      registry.gauge("campaign.replays_per_second")
-          .set(static_cast<double>(gathered.replays) / gathered.wall_seconds);
-  }
-
+  publish_campaign_metrics(gathered);
   if (telemetry != nullptr) *telemetry = gathered;
 }
 
 }  // namespace
+
+void publish_campaign_metrics(const CampaignTelemetry& telemetry) {
+  obs::Registry& registry = obs::Registry::global();
+  if (!registry.enabled()) return;
+  registry.counter("campaign.memo.lookups").add(telemetry.memo_lookups);
+  registry.counter("campaign.memo.hits").add(telemetry.memo_hits);
+  registry.counter("campaign.memo.evictions").add(telemetry.memo_evictions);
+  registry.gauge("campaign.memo.entries")
+      .set(static_cast<double>(telemetry.memo_entries));
+  registry.gauge("campaign.snapshots")
+      .set(static_cast<double>(telemetry.snapshots));
+  if (telemetry.wall_seconds > 0.0)
+    registry.gauge("campaign.replays_per_second")
+        .set(static_cast<double>(telemetry.replays) / telemetry.wall_seconds);
+}
 
 void fold_replay_record(CampaignAccumulator& accumulator,
                         const ReplayRecord& record) {

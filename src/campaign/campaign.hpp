@@ -150,6 +150,14 @@ struct CampaignTelemetry {
   std::size_t fold_window_peak = 0;
 };
 
+/// Publishes a finished campaign's record-memo counters, snapshot count and
+/// replays-per-second rate (telemetry.replays / telemetry.wall_seconds) to
+/// the global obs registry; a no-op while the registry is disabled. The one
+/// publisher for both backends: the executor calls it at the end of every
+/// replay range (run_campaign and the block runners), the subprocess
+/// coordinator for the worker telemetry it folded.
+void publish_campaign_metrics(const CampaignTelemetry& telemetry);
+
 /// Compact outcome of one replay: exactly what the accumulator folds,
 /// nothing else (the full CrashResult with its per-replica matrices never
 /// outlives its worker). Records are a pure function of (schedule, costs,

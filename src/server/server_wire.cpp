@@ -1,5 +1,6 @@
 #include "server/server_wire.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -13,6 +14,30 @@ namespace server {
 
 using namespace wire;
 
+namespace {
+
+/// Reads exactly `n` payload bytes into `out`, at most 64 KiB at a time:
+/// the string grows only as bytes arrive, so a declared count the peer
+/// never sends costs no memory.
+void read_payload(std::istream& is, std::size_t n, std::string& out) {
+  constexpr std::size_t kChunk = std::size_t{64} << 10;
+  out.clear();
+  while (out.size() < n) {
+    const std::size_t had = out.size();
+    const std::size_t want = std::min(kChunk, n - had);
+    out.resize(had + want);
+    is.read(out.data() + had, static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    out.resize(had + got);
+    CAFT_CHECK_MSG(got == want,
+                   "campaign wire: truncated instance payload (got " +
+                       std::to_string(out.size()) + " of " +
+                       std::to_string(n) + " bytes)");
+  }
+}
+
+}  // namespace
+
 void write_campaign_request(std::ostream& os,
                             const CampaignRequest& request) {
   const CampaignSpec& spec = request.spec;
@@ -21,16 +46,8 @@ void write_campaign_request(std::ostream& os,
   for (const std::string& algorithm : spec.algorithms)
     os << " " << algorithm;
   os << "\n";
-  os << "replays " << spec.replays << "\n";
-  os << "seed " << spec.seed << "\n";
-  os << "quantiles " << spec.quantiles.size();
-  for (const double q : spec.quantiles) os << " " << format_double(q);
-  os << "\n";
-  os << "theta-buckets " << spec.theta_buckets << "\n";
-  os << "exact " << (spec.exact ? 1 : 0) << "\n";
+  write_spec_lines(os, spec);
   os << "target-ci-width " << format_double(spec.target_ci_width) << "\n";
-  write_sampler_line(os, spec.sampler);
-  write_request_line(os, spec.request);
   os << "progress " << (request.progress ? 1 : 0) << "\n";
   os << "instance-bytes " << request.instance_bytes.size() << "\n";
   os.write(request.instance_bytes.data(),
@@ -51,48 +68,22 @@ CampaignRequest read_campaign_request(std::istream& is) {
     std::istringstream fields(line);
     std::string key;
     fields >> key;
+    if (read_spec_line(key, fields, request.spec)) continue;
     if (key == "end") {
       saw_end = true;
     } else if (key == "algorithms") {
       const std::size_t n = parse_size(
           next_token(fields, "algorithm count"), "algorithm count");
+      // Appended as they parse: the count is the client's claim, never an
+      // allocation size.
       request.spec.algorithms.clear();
-      request.spec.algorithms.reserve(n);
       for (std::size_t i = 0; i < n; ++i)
         request.spec.algorithms.push_back(
             next_token(fields, "algorithm name"));
       saw_algorithms = true;
-    } else if (key == "replays") {
-      request.spec.replays =
-          parse_size(next_token(fields, "replays"), "replays");
-    } else if (key == "seed") {
-      const std::string token = next_token(fields, "seed");
-      CAFT_CHECK_MSG(!token.empty() &&
-                         token.find_first_not_of("0123456789") ==
-                             std::string::npos,
-                     "campaign wire: malformed seed '" + token + "'");
-      request.spec.seed = std::stoull(token);
-    } else if (key == "quantiles") {
-      const std::size_t n =
-          parse_size(next_token(fields, "quantile count"), "quantile count");
-      request.spec.quantiles.clear();
-      request.spec.quantiles.reserve(n);
-      for (std::size_t i = 0; i < n; ++i)
-        request.spec.quantiles.push_back(
-            parse_double(next_token(fields, "quantile"), "quantile"));
-    } else if (key == "theta-buckets") {
-      request.spec.theta_buckets =
-          parse_size(next_token(fields, "theta-buckets"), "theta-buckets");
-    } else if (key == "exact") {
-      request.spec.exact =
-          parse_bool(next_token(fields, "exact"), "exact");
     } else if (key == "target-ci-width") {
       request.spec.target_ci_width = parse_double(
           next_token(fields, "target-ci-width"), "target-ci-width");
-    } else if (key == "sampler") {
-      read_sampler_line(fields, request.spec.sampler);
-    } else if (key == "request") {
-      read_request_line(fields, request.spec.request);
     } else if (key == "progress") {
       request.progress =
           parse_bool(next_token(fields, "progress"), "progress");
@@ -100,13 +91,11 @@ CampaignRequest read_campaign_request(std::istream& is) {
       const std::size_t n = parse_size(
           next_token(fields, "instance byte count"), "instance byte count");
       CAFT_CHECK_MSG(n > 0, "campaign wire: request has an empty instance");
-      request.instance_bytes.resize(n);
-      is.read(request.instance_bytes.data(),
-              static_cast<std::streamsize>(n));
-      CAFT_CHECK_MSG(static_cast<std::size_t>(is.gcount()) == n,
-                     "campaign wire: truncated instance payload (got " +
-                         std::to_string(is.gcount()) + " of " +
-                         std::to_string(n) + " bytes)");
+      CAFT_CHECK_MSG(n <= kMaxInstanceBytes,
+                     "campaign wire: instance-bytes " + std::to_string(n) +
+                         " exceeds the cap of " +
+                         std::to_string(kMaxInstanceBytes));
+      read_payload(is, n, request.instance_bytes);
       saw_instance = true;
     } else {
       throw caft::CheckError("campaign wire: unknown request key '" + key +

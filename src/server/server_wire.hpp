@@ -11,15 +11,16 @@
 ///
 /// Request (`caft-campaign-request v1`):
 ///   algorithms <k> <name>...
-///   replays <n>  /  seed <u64>
-///   quantiles <k> <q...>                 # hexfloat
-///   theta-buckets <n>  /  exact <0|1>
+///   replays / seed / quantiles /         # the spec lines, shared with the
+///   theta-buckets / sampler / request    # work order (wire::write_spec_lines)
 ///   target-ci-width <w>                  # hexfloat, 0 = run all replays
-///   sampler ...  /  request ...          # the shared spec-line codecs
 ///   progress <0|1>                       # stream progress lines?
 ///   instance-bytes <n>                   # followed by exactly n raw bytes
 ///   <n bytes of io/instance_io text>     # of the archival instance format
 ///   end
+/// A count the client declares is never an allocation size: list entries
+/// are appended as they parse, and `instance-bytes` is checked against
+/// kMaxInstanceBytes before any payload is read, then read in chunks.
 /// The server content-addresses the campaign by the FNV-1a hash of those
 /// instance bytes (common/hash.hpp) — two clients sending equal bytes share
 /// every cached artifact.
@@ -69,6 +70,10 @@
 
 namespace ftsched {
 namespace server {
+
+/// Upper bound of a request's `instance-bytes`, checked before the payload
+/// is read. A 10,000-task instance on 64 processors saves to about 21 MB.
+inline constexpr std::size_t kMaxInstanceBytes = std::size_t{64} << 20;
 
 /// One client request: a full CampaignSpec plus the instance *bytes* (the
 /// server never touches the client's filesystem).

@@ -487,28 +487,6 @@ TEST(SessionApi, ReportsAreExecutionPolicyIndependent) {
   expect_summaries_identical(a.runs[0].summary, c.runs[0].summary);
 }
 
-TEST(SessionApi, EvaluateBatchMatchesPerInstanceEvaluate) {
-  std::vector<Instance> instances;
-  instances.push_back(random_instance(31, 8, 0.5, 1));
-  instances.push_back(random_instance(32, 8, 2.0, 1));
-
-  CampaignSpec spec;
-  spec.algorithms = {"caft", "heft"};
-  spec.sampler = SamplerSpec::uniform_k(1);
-  spec.replays = 200;
-
-  const Session session;
-  const auto batch = session.evaluate_batch(instances, spec);
-  ASSERT_EQ(batch.size(), 2u);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const CampaignReport solo = session.evaluate(instances[i], spec);
-    ASSERT_EQ(batch[i].runs.size(), solo.runs.size());
-    for (std::size_t r = 0; r < solo.runs.size(); ++r)
-      expect_summaries_identical(batch[i].runs[r].summary,
-                                 solo.runs[r].summary);
-  }
-}
-
 TEST(SessionApi, ThetaBucketsWorkUnderEitherEngine) {
   // Quantization snaps scenarios before any engine sees them, so the naive
   // oracle and the incremental engine agree on bucketed campaigns too.
@@ -547,20 +525,6 @@ TEST(SessionApi, ThetaBucketWidthRejectsDegenerateHorizons) {
   // No buckets, no width — degenerate horizons are fine then.
   spec.theta_buckets = 0;
   EXPECT_DOUBLE_EQ(spec.theta_bucket_width(0.0), 0.0);
-}
-
-TEST(SessionApi, ExactCampaignsNeverDeriveABucketWidth) {
-  // exact + buckets on a degenerate schedule must run, not throw: the
-  // exact path is precisely the documented escape hatch for schedules
-  // whose horizon admits no bucket width.
-  const Instance instance = random_instance(43, 8, 1.0, 1);
-  CampaignSpec spec;
-  spec.algorithms = {"caft"};
-  spec.replays = 10;
-  spec.theta_buckets = 16;
-  spec.exact = true;
-  const CampaignReport report = Session().evaluate(instance, spec);
-  EXPECT_DOUBLE_EQ(report.runs[0].theta_bucket_width, 0.0);
 }
 
 TEST(SessionApi, InProcessTargetCiWidthStopsEarlyAndDeterministically) {

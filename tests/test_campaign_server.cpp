@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +25,46 @@
 #include "obs/obs.hpp"
 #include "server/server_wire.hpp"
 #include "server/socket.hpp"
+
+// ---------------------------------------------------------------------
+// Largest single allocation the current thread makes while tracking is on:
+// how the payload test sees that the request reader never sizes a buffer
+// from the byte count a client declares. Everything else allocates freely.
+namespace {
+thread_local bool t_track_allocations = false;
+thread_local std::size_t t_largest_allocation = 0;
+
+void* tracked_malloc(std::size_t size) noexcept {
+  if (t_track_allocations && size > t_largest_allocation)
+    t_largest_allocation = size;
+  return std::malloc(size);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = tracked_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = tracked_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return tracked_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return tracked_malloc(size);
+}
+// Out of line: inlined into a caller, GCC pairs a `new T` with the free()
+// below and warns (-Wmismatched-new-delete), not seeing the malloc above.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ftsched {
 namespace {
@@ -98,7 +140,6 @@ TEST(CampaignServerWire, RequestRoundTripsThroughTheWire) {
   request.spec.seed = 99;
   request.spec.quantiles = {0.25, 0.75};
   request.spec.theta_buckets = 32;
-  request.spec.exact = true;
   request.spec.target_ci_width = 0.125;
   request.spec.request.eps = 2;
   request.spec.request.one_to_one = false;
@@ -118,7 +159,6 @@ TEST(CampaignServerWire, RequestRoundTripsThroughTheWire) {
   EXPECT_EQ(parsed.spec.seed, request.spec.seed);
   EXPECT_EQ(parsed.spec.quantiles, request.spec.quantiles);
   EXPECT_EQ(parsed.spec.theta_buckets, request.spec.theta_buckets);
-  EXPECT_EQ(parsed.spec.exact, request.spec.exact);
   EXPECT_EQ(parsed.spec.target_ci_width, request.spec.target_ci_width);
   EXPECT_EQ(parsed.spec.request.eps, request.spec.request.eps);
   EXPECT_EQ(parsed.spec.request.one_to_one, request.spec.request.one_to_one);
@@ -130,6 +170,88 @@ TEST(CampaignServerWire, RequestRoundTripsThroughTheWire) {
   std::ostringstream again;
   server::write_campaign_request(again, parsed);
   EXPECT_EQ(again.str(), out.str());
+}
+
+/// A well-formed request document with the line that starts with `key `
+/// replaced by `line`.
+std::string request_with_line(const std::string& key,
+                              const std::string& line) {
+  server::CampaignRequest request;
+  request.spec = base_spec();
+  request.instance_bytes = "payload\n";
+  std::ostringstream out;
+  server::write_campaign_request(out, request);
+  std::string doc = out.str();
+  const std::size_t at = doc.find("\n" + key + " ") + 1;
+  doc.replace(at, doc.find('\n', at) - at, line);
+  return doc;
+}
+
+/// The CheckError message reading `doc` as a request raises.
+std::string request_error(const std::string& doc) {
+  std::istringstream in(doc);
+  try {
+    (void)server::read_campaign_request(in);
+  } catch (const caft::CheckError& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected CheckError";
+  return {};
+}
+
+TEST(CampaignServerWire, RequestRejectsTheRemovedExactKey) {
+  const std::string doc =
+      request_with_line("progress", "exact 0\nprogress 0");
+  EXPECT_NE(request_error(doc).find("unknown request key 'exact'"),
+            std::string::npos);
+}
+
+TEST(CampaignServerWire, InstanceBytesAreCappedBeforeAnyPayloadIsRead) {
+  const std::string doc = request_with_line(
+      "instance-bytes",
+      "instance-bytes " + std::to_string(server::kMaxInstanceBytes + 1));
+  EXPECT_NE(request_error(doc).find(
+                "exceeds the cap of " +
+                std::to_string(server::kMaxInstanceBytes)),
+            std::string::npos);
+}
+
+TEST(CampaignServerWire, InstancePayloadGrowsOnlyAsBytesArrive) {
+  // A client declares the largest payload the cap admits and sends 100
+  // bytes: the reader must fail on the truncation having allocated on the
+  // order of what arrived, not the declared count.
+  std::string doc = request_with_line(
+      "instance-bytes",
+      "instance-bytes " + std::to_string(server::kMaxInstanceBytes));
+  doc.resize(doc.find("payload"));
+  doc += std::string(100, 'x');
+  std::istringstream in(doc);
+  std::string error;
+  t_largest_allocation = 0;
+  t_track_allocations = true;
+  try {
+    (void)server::read_campaign_request(in);
+  } catch (const caft::CheckError& thrown) {
+    error = thrown.what();
+  }
+  t_track_allocations = false;
+  EXPECT_NE(error.find("truncated instance payload (got 100 of " +
+                       std::to_string(server::kMaxInstanceBytes) + " bytes)"),
+            std::string::npos)
+      << error;
+  EXPECT_LT(t_largest_allocation, std::size_t{1} << 20);
+
+  // A payload spanning several read chunks still arrives byte for byte.
+  server::CampaignRequest request;
+  request.spec = base_spec();
+  for (std::size_t i = 0; i < 200000; ++i)
+    request.instance_bytes.push_back(static_cast<char>('a' + i % 23));
+  request.instance_bytes += "\nend\n";
+  std::ostringstream out;
+  server::write_campaign_request(out, request);
+  std::istringstream big(out.str());
+  EXPECT_EQ(server::read_campaign_request(big).instance_bytes,
+            request.instance_bytes);
 }
 
 TEST(CampaignServerWire, ReportRoundTripsIntoAReadableDocument) {
@@ -327,6 +449,33 @@ TEST(CampaignServer, BadRequestsBecomeErrorDocumentsNotDroppedStreams) {
   const server::ServerResponse truncated =
       server::read_server_response(truncated_in);
   EXPECT_EQ(truncated.kind, server::ServerResponse::Kind::kError);
+}
+
+TEST(CampaignServer, InflatedListCountsBecomeErrorsNamingTheField) {
+  // A list count the line cannot back is the client's claim, never an
+  // allocation size: the error document names the missing field instead
+  // of leaking an allocator failure.
+  server::CampaignServer daemon(server::ServerOptions{});
+  const struct {
+    const char* key;
+    const char* line;
+    const char* missing;
+  } probes[] = {
+      {"quantiles", "quantiles 4611686018427387904 0x1p-1",
+       "campaign wire: missing quantile"},
+      {"algorithms", "algorithms 4611686018427387904 caft",
+       "campaign wire: missing algorithm name"},
+  };
+  for (const auto& probe : probes) {
+    std::istringstream in(
+        serve_raw(daemon, request_with_line(probe.key, probe.line)));
+    const server::ServerResponse response = server::read_server_response(in);
+    ASSERT_EQ(response.kind, server::ServerResponse::Kind::kError);
+    EXPECT_NE(response.error.find(probe.missing), std::string::npos)
+        << response.error;
+    EXPECT_EQ(response.error.find("reserve"), std::string::npos)
+        << response.error;
+  }
 }
 
 // --- the headline guarantee

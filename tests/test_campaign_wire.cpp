@@ -32,7 +32,6 @@ CampaignWorkOrder sample_order() {
   order.spec.seed = 0xDEADBEEFCAFEF00DULL;
   order.spec.quantiles = {0.1, 0.5, 0.999};  // 0.1/0.999 are inexact in binary
   order.spec.theta_buckets = 64;
-  order.spec.exact = false;
   order.spec.sampler = SamplerSpec::weibull(1.7, 940.25, 1e6);
   order.spec.request.eps = 3;
   order.spec.request.model = caft::CommModelKind::kMacroDataflow;
@@ -70,7 +69,6 @@ TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   for (std::size_t i = 0; i < order.spec.quantiles.size(); ++i)
     EXPECT_EQ(back.spec.quantiles[i], order.spec.quantiles[i]);  // bit-exact
   EXPECT_EQ(back.spec.theta_buckets, order.spec.theta_buckets);
-  EXPECT_EQ(back.spec.exact, order.spec.exact);
   EXPECT_EQ(back.spec.sampler.kind, order.spec.sampler.kind);
   EXPECT_EQ(back.spec.sampler.failures, order.spec.sampler.failures);
   EXPECT_EQ(back.spec.sampler.rate, order.spec.sampler.rate);
@@ -181,6 +179,51 @@ TEST(CampaignWire, WorkOrderBoundsExecThreadsAndBlock) {
     std::istringstream is(doc);
     EXPECT_THROW((void)read_campaign_work_order(is), CheckError);
   }
+}
+
+/// `doc` with the whole line that starts with `key ` replaced by `line`.
+std::string with_line(std::string doc, const std::string& key,
+                      const std::string& line) {
+  const std::size_t at = doc.find("\n" + key + " ") + 1;
+  doc.replace(at, doc.find('\n', at) - at, line);
+  return doc;
+}
+
+/// The CheckError message reading `doc` as a work order raises.
+std::string work_order_error(const std::string& doc) {
+  std::istringstream is(doc);
+  try {
+    (void)read_campaign_work_order(is);
+  } catch (const CheckError& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected CheckError for:\n" << doc;
+  return {};
+}
+
+TEST(CampaignWire, WorkOrderRejectsTheRemovedExactKey) {
+  // θ-quantization is off exactly when theta-buckets is 0; there is no
+  // second switch, so a strict reader refuses the old key.
+  std::string doc = to_text(sample_order());
+  doc.insert(doc.find("end\n"), "exact 0\n");
+  EXPECT_NE(work_order_error(doc).find("unknown work-order key 'exact'"),
+            std::string::npos);
+}
+
+TEST(CampaignWire, WorkOrderNeverAllocatesFromAPeerCount) {
+  // A quantile count the line cannot back fails naming the missing field;
+  // it is never handed to reserve().
+  const std::string doc = with_line(to_text(sample_order()), "quantiles",
+                                    "quantiles 4611686018427387904 0x1p-1");
+  EXPECT_NE(work_order_error(doc).find("campaign wire: missing quantile"),
+            std::string::npos);
+  // A count past 64 bits is a protocol error too, not a std::stoull throw.
+  const std::string huge =
+      with_line(to_text(sample_order()), "replays",
+                "replays 99999999999999999999999");
+  EXPECT_NE(work_order_error(huge).find("replays '99999999999999999999999' "
+                                        "is out of range"),
+            std::string::npos);
 }
 
 TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
@@ -389,6 +432,22 @@ TEST(CampaignWire, PartialRejectsCorruptBlockRanges) {
     doc.replace(at, 9, "records 2");
     std::istringstream is(doc);
     EXPECT_THROW((void)read_campaign_partial(is), CheckError);
+  }
+  {  // a huge block whose records header agrees: both counts are the
+     // worker's claim, so the document must fail as truncated instead of
+     // sizing an allocation from them
+    std::istringstream is(
+        "caft-campaign-partial v1\nalgorithm caft\n"
+        "block 0 4611686018427387904\nrecords 4611686018427387904\n"
+        "r 1 0 0x1p+0 1 0 0\n");
+    try {
+      (void)read_campaign_partial(is);
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& error) {
+      EXPECT_NE(std::string(error.what()).find("truncated partial"),
+                std::string::npos)
+          << error.what();
+    }
   }
   {  // records header before any block range: nothing to validate against
     std::istringstream is(

@@ -285,7 +285,7 @@ TEST(SessionSubprocess, TelemetryParityWithInProcess) {
   EXPECT_GT(b.wall_seconds, 0.0);
 }
 
-TEST(SessionSubprocess, EvaluateBatchMatchesInProcess) {
+TEST(SessionSubprocess, EvaluateMatchesInProcessAcrossInstances) {
   const std::string cli = cli_path();
   if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
 
@@ -296,62 +296,32 @@ TEST(SessionSubprocess, EvaluateBatchMatchesInProcess) {
   spec.algorithms = {"caft", "ftsa"};
   spec.sampler = SamplerSpec::uniform_k(2);
 
-  const Session session{};  // in-process session; override per call below
-  const std::vector<CampaignReport> reference =
-      session.evaluate_batch(instances, spec);
-  const std::vector<CampaignReport> subprocess = session.evaluate_batch(
-      instances, spec, ExecutionPolicy::subprocess(cli, 2));
-
-  ASSERT_EQ(reference.size(), subprocess.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    ASSERT_EQ(reference[i].runs.size(), subprocess[i].runs.size());
-    for (std::size_t r = 0; r < reference[i].runs.size(); ++r) {
-      EXPECT_EQ(reference[i].runs[r].algorithm,
-                subprocess[i].runs[r].algorithm);
-      expect_summaries_identical(reference[i].runs[r].summary,
-                                 subprocess[i].runs[r].summary);
-    }
-  }
-}
-
-TEST(SessionSubprocess, EvaluateBatchDedupesEqualInstanceSaves) {
-  const std::string cli = cli_path();
-  if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
-
-  // Three instances, two of them byte-identical (same generator seed):
-  // the batch must serialize two files, not three, and the duplicate must
-  // still campaign correctly off the shared file — across two algorithms,
-  // so the shared path is reused within an evaluate as well.
-  std::vector<Instance> instances;
-  instances.push_back(random_instance(320, 8, 1.0, 1));
-  instances.push_back(random_instance(321, 8, 1.0, 1));
-  instances.push_back(random_instance(320, 8, 1.0, 1));  // dup of [0]
-  CampaignSpec spec = lifetime_spec(100);
-  spec.algorithms = {"caft", "ftsa"};
-  spec.sampler = SamplerSpec::uniform_k(1);
+  SessionOptions options;
+  options.exec = ExecutionPolicy::subprocess(cli, 2);
+  const Session in_process{};
+  const Session subprocess(options);
 
   obs::Registry& registry = obs::Registry::global();
   registry.set_enabled(true);
   const std::uint64_t saves_before =
       registry.snapshot().counter_value("campaign.instance.saves");
-  const Session session{};
-  const std::vector<CampaignReport> batch = session.evaluate_batch(
-      instances, spec, ExecutionPolicy::subprocess(cli, 2));
+  for (const Instance& instance : instances) {
+    const CampaignReport reference = in_process.evaluate(instance, spec);
+    const CampaignReport fanned = subprocess.evaluate(instance, spec);
+    ASSERT_EQ(reference.runs.size(), fanned.runs.size());
+    for (std::size_t r = 0; r < reference.runs.size(); ++r) {
+      EXPECT_EQ(reference.runs[r].algorithm, fanned.runs[r].algorithm);
+      expect_summaries_identical(reference.runs[r].summary,
+                                 fanned.runs[r].summary);
+    }
+  }
   const std::uint64_t saves_after =
       registry.snapshot().counter_value("campaign.instance.saves");
   registry.set_enabled(false);
-
-  // Two distinct contents -> exactly two saves for three instances.
-  EXPECT_EQ(saves_after - saves_before, 2u);
-
-  // The deduped instance's report is byte-identical to its twin's.
-  ASSERT_EQ(batch.size(), 3u);
-  ASSERT_EQ(batch[0].runs.size(), batch[2].runs.size());
-  for (std::size_t r = 0; r < batch[0].runs.size(); ++r) {
-    EXPECT_EQ(batch[0].runs[r].algorithm, batch[2].runs[r].algorithm);
-    expect_summaries_identical(batch[0].runs[r].summary,
-                               batch[2].runs[r].summary);
-  }
+  // One instance save per subprocess campaign (instance × algorithm); the
+  // in-process campaigns save nothing.
+  EXPECT_EQ(saves_after - saves_before,
+            instances.size() * spec.algorithms.size());
 }
 
 TEST(SessionSubprocess, RetriesCrashedWorkerAndStaysIdentical) {
@@ -564,16 +534,19 @@ TEST(SessionSubprocess, FailsLoudlyAfterRetryBudget) {
 
   SessionOptions options;
   options.exec = ExecutionPolicy::subprocess(script, 2);
-  options.exec.max_retries = 1;
   const Session session(options);
   try {
     (void)session.evaluate(instance, spec);
     FAIL() << "a persistently failing worker must fail the campaign";
   } catch (const caft::CheckError& error) {
-    // The message names the block and the observed failure.
-    EXPECT_NE(std::string(error.what()).find("exited with status 3"),
+    // The message names the block, the fixed attempt budget and the
+    // observed failure.
+    const std::string what = error.what();
+    EXPECT_NE(what.find("after " + std::to_string(kWorkerAttempts) +
+                        " attempts"),
               std::string::npos)
-        << error.what();
+        << what;
+    EXPECT_NE(what.find("exited with status 3"), std::string::npos) << what;
   }
 }
 

@@ -6,8 +6,7 @@
 //    earlier waves (memo hits are unobservable);
 //  - θ-quantization is exactly the documented scenario transform: a bucketed
 //    campaign equals an exact naive campaign over draws snapped by hand,
-//    drift shrinks with the bucket width, and CampaignSpec::exact is the
-//    escape hatch;
+//    and drift shrinks with the bucket width;
 //  - the memo counters are exact at every thread count and the memo stays
 //    under its entry cap over 10^6 replays (clear-on-threshold eviction).
 #include "campaign/campaign.hpp"
@@ -19,11 +18,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "algo/caft.hpp"
-#include "api/session.hpp"
 #include "campaign/scenario_sampler.hpp"
 #include "dag/generators.hpp"
 #include "helpers.hpp"
@@ -244,36 +241,6 @@ TEST(CampaignQuantization, DriftShrinksWithBucketWidth) {
   // small in absolute terms).
   EXPECT_LE(differing[1], differing[0]);
   EXPECT_LE(differing[1], draws / 20);
-}
-
-TEST(CampaignQuantization, ExactSpecIsTheEscapeHatch) {
-  // CampaignSpec::exact wins over theta_buckets: the Session runs width 0,
-  // byte-identical to a campaign that never asked for buckets.
-  Scenario s = random_setup(59, 6, 1.0);
-  const ftsched::Instance instance(std::move(s.graph), std::move(s.platform),
-                                   std::move(s.costs), ftsched::RunOptions{1});
-  ftsched::CampaignSpec plain;
-  plain.algorithms = {"caft"};
-  plain.sampler = ftsched::SamplerSpec::window(2, 0.0, 500.0);
-  plain.replays = 200;
-  ftsched::CampaignSpec hatched = plain;
-  hatched.theta_buckets = 4;  // very coarse
-  hatched.exact = true;
-  ftsched::CampaignSpec bucketed = plain;
-  bucketed.theta_buckets = 4;
-
-  ftsched::SessionOptions options;
-  options.block = 50;  // several waves, so the record memo can answer
-  const ftsched::Session session(options);
-  const ftsched::CampaignReport a = session.evaluate(instance, plain);
-  const ftsched::CampaignReport b = session.evaluate(instance, hatched);
-  const ftsched::CampaignReport c = session.evaluate(instance, bucketed);
-  EXPECT_EQ(b.runs[0].theta_bucket_width, 0.0);
-  expect_summaries_identical(a.runs[0].summary, b.runs[0].summary,
-                             "escape hatch");
-  // The coarse buckets really do quantize when the hatch is closed.
-  EXPECT_GT(c.runs[0].theta_bucket_width, 0.0);
-  EXPECT_GT(c.runs[0].telemetry.memo_hits, 0u);
 }
 
 TEST(CampaignQuantization, BucketedSummariesIdenticalAcrossThreadCounts) {

@@ -41,8 +41,8 @@
 /// each finite positive crash time snaps to the midpoint of one of N
 /// buckets of the schedule horizon before the campaign groups, memoises
 /// and replays it — a deterministic approximation whose drift is bounded
-/// by the bucket width, identical under either engine.
-/// --exact is the escape hatch: bit-exact replays even with buckets set.
+/// by the bucket width, identical under either engine. --theta-buckets 0
+/// keeps every replay bit-exact.
 /// Numeric/choice flags are validated strictly; malformed values abort
 /// with a clear error instead of silently falling back to defaults.
 ///
@@ -255,9 +255,8 @@ int main(int argc, char** argv) {
       // frozen below its final count.
       if (heartbeat) heartbeat->finish();
       // Quantization is an opt-in approximation; surface its effect. (Not
-      // printed otherwise — nor under --exact, where no bucketing happens —
-      // so exact reports stay byte-stable.)
-      if (spec.theta_buckets > 0 && !spec.exact)
+      // printed otherwise, so exact reports stay byte-stable.)
+      if (spec.theta_buckets > 0)
         std::printf("  theta buckets: %zu (width %.4f), memo hit rate "
                     "%.1f%% over %llu lookups\n",
                     spec.theta_buckets, run.theta_bucket_width,

@@ -10,7 +10,7 @@
 ///                   [spec flags: --algos --sampler --k --rate --shape
 ///                    --scale --horizon --theta-lo --theta-hi --group-size
 ///                    --group-prob --replays --seed --theta-buckets
-///                    --exact --target-ci-width]
+///                    --target-ci-width]
 ///                   [--progress] [--csv PREFIX] [--json PREFIX]
 ///
 ///   --in FILE       instance file (io/instance_io text); its *bytes* go

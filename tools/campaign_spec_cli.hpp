@@ -1,8 +1,8 @@
 /// \file campaign_spec_cli.hpp
 /// The campaign-flag surface shared by the campaign CLIs — campaign_cli,
 /// campaign_client and campaign_server all accept the same spec flags
-/// (--algos/--sampler/--replays/--seed/--theta-buckets/--exact/
-/// --target-ci-width and the sampler knobs) and the same observability
+/// (--algos/--sampler/--replays/--seed/--theta-buckets/--target-ci-width
+/// and the sampler knobs) and the same observability
 /// flags (--trace-out/--metrics-out), so the helpers that turn flags into
 /// an ftsched::CampaignSpec and arm the obs registry live here, once.
 /// Header-only on purpose: tools/*.cpp are each built as a binary by
@@ -93,10 +93,9 @@ inline CampaignSpec build_campaign_spec(const caft::CliArgs& args,
   CAFT_CHECK_MSG(spec.replays > 0, "--replays must be positive");
   spec.seed = args.get_size("seed", 20080201);
   // --theta-buckets N splits each schedule's horizon into N θ buckets and
-  // snaps every crash time to its bucket midpoint; 0 keeps every replay
-  // bit-exact, and so does --exact (the intentional opt-out).
+  // snaps every crash time to its bucket midpoint; 0 (the default) keeps
+  // every replay bit-exact.
   spec.theta_buckets = args.get_size("theta-buckets", 0);
-  spec.exact = args.has("exact");
   // --target-ci-width W: stop once the folded prefix's Wilson 95% CI is at
   // most W wide. In-process the cut lands at a wave boundary — a
   // deterministic function of (seed, block), byte-identical across runs
