@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
 }
 
 int run_bench(int argc, char** argv) {
-  const CliArgs args(argc, argv);
+  const CliArgs args(argc, argv, {"engine", "json-out", "subprocess-cli"});
   const std::string engine_arg =
       args.get_choice("engine", "both", {"naive", "incremental", "both"});
   std::vector<std::string> engines;

@@ -394,6 +394,23 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
 
   publish_campaign_metrics(gathered);
   if (telemetry != nullptr) *telemetry = gathered;
+  // The engine's work counters, summed over the workers' scratches. Each
+  // replay starts from a reset state, so the sums depend only on the
+  // scenarios replayed, not on the thread count.
+  if (registry.enabled()) {
+    ReplayEngine::Scratch::Counters work;
+    for (const ReplayEngine::Scratch& scratch : scratches) {
+      work.events += scratch.counters().events;
+      work.recomputes += scratch.counters().recomputes;
+      work.handoff_checks += scratch.counters().handoff_checks;
+      work.relaxation_scans += scratch.counters().relaxation_scans;
+    }
+    registry.counter("sim.replay.events").add(work.events);
+    registry.counter("sim.replay.recomputes").add(work.recomputes);
+    registry.counter("sim.replay.handoff_checks").add(work.handoff_checks);
+    registry.counter("sim.replay.relaxation_scans")
+        .add(work.relaxation_scans);
+  }
 }
 
 }  // namespace

@@ -13,9 +13,27 @@
 namespace caft {
 
 /// Thrown when a CAFT_CHECK precondition or invariant fails.
+///
+/// what() is for developers: a failed check names its expression and
+/// source location there. message() is the bare human-readable text, the
+/// only part fit to leave the process (a server's error document), since
+/// the location carries the absolute path of the build tree.
 class CheckError : public std::logic_error {
  public:
-  using std::logic_error::logic_error;
+  /// A plain error: what() and message() are both `message`.
+  explicit CheckError(const std::string& message)
+      : std::logic_error(message), message_(message) {}
+  /// A failed check: what() is `detail`, message() is `message`.
+  CheckError(const std::string& detail, const std::string& message)
+      : std::logic_error(detail), message_(message) {}
+
+  [[nodiscard]] const char* message() const noexcept {
+    return message_.what();
+  }
+
+ private:
+  /// A standard exception only for its nothrow-copyable string storage.
+  std::logic_error message_;
 };
 
 namespace detail {
@@ -24,7 +42,8 @@ namespace detail {
   std::ostringstream os;
   os << "check failed: " << expr << " at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  // A check without a message has no text worth showing past the process.
+  throw CheckError(os.str(), msg.empty() ? "internal error" : std::string(msg));
 }
 }  // namespace detail
 

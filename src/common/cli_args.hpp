@@ -3,6 +3,10 @@
 /// tools/campaign_cli): flags are --name value pairs, bare flags
 /// (--gantt) map to "true", anything not starting with -- is positional.
 ///
+/// Each tool declares the flags it reads; any other flag is rejected with
+/// "unknown flag --x", so a misspelt or retired option fails loudly instead
+/// of being silently ignored while the defaults run.
+///
 /// Numeric accessors parse *strictly*: a malformed value ("12x", "", a bare
 /// flag where a number is required, a negative count) throws CheckError
 /// with the flag name and offending text instead of silently truncating or
@@ -13,6 +17,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <stdexcept>
@@ -26,8 +32,11 @@ namespace caft {
 class CliArgs {
  public:
   /// Parses argv[first..argc); `first` skips the program name and any
-  /// subcommand the caller consumed.
-  CliArgs(int argc, char** argv, int first = 1) {
+  /// subcommand the caller consumed. `flags` declares every flag the tool
+  /// reads (names without the leading --); any other flag throws
+  /// CheckError("unknown flag --x").
+  CliArgs(int argc, char** argv, const std::vector<std::string>& flags,
+          int first = 1) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -35,11 +44,27 @@ class CliArgs {
         continue;
       }
       key.erase(0, 2);
+      if (std::find(flags.begin(), flags.end(), key) == flags.end())
+        throw CheckError("unknown flag --" + key);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
         values_[key] = "true";
       }
+    }
+  }
+
+  /// The constructor for a tool's main(): an unknown flag prints
+  /// "error: unknown flag --x" on stderr and exits with status 2 (a usage
+  /// error) before the tool does anything.
+  static CliArgs parse_or_exit(int argc, char** argv,
+                               const std::vector<std::string>& flags,
+                               int first = 1) {
+    try {
+      return CliArgs(argc, argv, flags, first);
+    } catch (const CheckError& error) {
+      std::fprintf(stderr, "error: %s\n", error.what());
+      std::exit(2);
     }
   }
 

@@ -95,6 +95,11 @@ void CampaignServer::serve(std::istream& in, std::ostream& out) {
       throw;
     }
     admission_.release();
+  } catch (const caft::CheckError& error) {
+    // The bare message: a failed check's expression and source path stay
+    // on this side of the socket.
+    write_campaign_error(out, error.message());
+    out.flush();
   } catch (const std::exception& error) {
     write_campaign_error(out, error.what());
     out.flush();

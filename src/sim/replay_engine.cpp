@@ -24,6 +24,9 @@ constexpr std::uint8_t kPending = 0;
 constexpr std::uint8_t kDone = 1;
 constexpr std::uint8_t kDead = 2;
 
+/// Stored fault-free snapshots; memory is O(kMaxSnapshots × ops).
+constexpr std::size_t kMaxSnapshots = 64;
+
 }  // namespace
 
 double ReplayEngine::first_crash(const CrashScenario& scenario) {
@@ -35,15 +38,12 @@ double ReplayEngine::first_crash(const CrashScenario& scenario) {
   return earliest;
 }
 
-ReplayEngine::ReplayEngine(const Schedule& schedule, const CostModel& costs,
-                           ReplayEngineOptions options)
-    : schedule_(&schedule), options_(std::move(options)) {
+ReplayEngine::ReplayEngine(const Schedule& schedule, const CostModel& costs)
+    : schedule_(&schedule) {
   (void)costs;  // durations come from the committed schedule, as in the
                 // naive replay; the parameter keeps the two call shapes
                 // symmetric.
   CAFT_CHECK_MSG(schedule.complete(), "schedule is incomplete");
-  CAFT_CHECK_MSG(options_.max_snapshots > 0,
-                 "the engine needs at least one snapshot slot");
   build_template();
   record_fault_free();
 }
@@ -53,6 +53,8 @@ void ReplayEngine::build_template() {
   m_ = schedule_->platform().proc_count();
   const std::size_t link_count = schedule_->platform().topology().link_count();
   resource_count_ = 3 * m_ + link_count;
+  leaf_base_ = 1;
+  while (leaf_base_ < resource_count_) leaf_base_ *= 2;
 
   const auto exec_res = [&](ProcId p) { return p.index(); };
   const auto send_res = [&](ProcId p) { return m_ + p.index(); };
@@ -130,7 +132,6 @@ void ReplayEngine::build_template() {
                   source_exec, false, -1);
       counts_message_[id] = c.intra() ? 0 : 1;
       comm_to_op[ci] = id;
-      initial_handoffs_.push_back(id);
       continue;
     }
 
@@ -337,11 +338,11 @@ void ReplayEngine::reset_pristine(Scratch& s) const {
   s.finish.resize(op_count_);
   s.head.assign(resource_count_, 0);
   s.free_at.assign(resource_count_, 0.0);
-  s.handoffs.assign(initial_handoffs_.begin(), initial_handoffs_.end());
+  // Every hand-off waits on an exec, and no exec is done yet.
+  s.ready_handoffs.clear();
   s.dead_inputs.assign(slot_input_begin_.size() - 1, 0);
   s.worklist.clear();
-  s.cand_ready.resize(resource_count_);
-  s.cand_op.resize(resource_count_);
+  s.tree.resize(2 * leaf_base_);
   s.dirty_flag.assign(resource_count_, 0);
   s.dirty_resources.clear();
   s.all_dirty = true;
@@ -356,12 +357,11 @@ void ReplayEngine::restore_snapshot(Scratch& s, const Snapshot& snap) const {
   s.finish = snap.finish;
   s.head = snap.head;
   s.free_at = snap.free_at;
-  s.handoffs = snap.pending_handoffs;
+  s.ready_handoffs = snap.ready_handoffs;
   // No op is dead anywhere on the fault-free prefix.
   s.dead_inputs.assign(slot_input_begin_.size() - 1, 0);
   s.worklist.clear();
-  s.cand_ready.resize(resource_count_);
-  s.cand_op.resize(resource_count_);
+  s.tree.resize(2 * leaf_base_);
   s.dirty_flag.assign(resource_count_, 0);
   s.dirty_resources.clear();
   s.all_dirty = true;
@@ -410,9 +410,9 @@ void ReplayEngine::propagate(Scratch& s) const {
   // Worklist closure of the naive propagate_dead fixpoint: a dead
   // prerequisite kills its dependents; an exec dies when some in-edge has
   // every input dead. The resulting state set is the same least fixpoint
-  // the naive full-scan loop computes. A death wave can invalidate any
-  // cached candidate, so the next commit refreshes them all.
-  s.all_dirty = true;
+  // the naive full-scan loop computes. A death changes the candidate only
+  // of the resources the dead op sits on: its dependents die with it, and
+  // a dead input never lowers an exec's earliest live arrival.
   while (!s.worklist.empty()) {
     const std::uint32_t op = s.worklist.back();
     s.worklist.pop_back();
@@ -430,8 +430,14 @@ void ReplayEngine::propagate(Scratch& s) const {
       }
     }
     // A settled op at a queue head unblocks whatever sits behind it.
-    if (res_a_[op] != kNone32) advance_resource(s, res_a_[op]);
-    if (res_b_[op] != kNone32) advance_resource(s, res_b_[op]);
+    if (res_a_[op] != kNone32) {
+      advance_resource(s, res_a_[op]);
+      mark_dirty(s, res_a_[op]);
+    }
+    if (res_b_[op] != kNone32) {
+      advance_resource(s, res_b_[op]);
+      mark_dirty(s, res_b_[op]);
+    }
   }
 }
 
@@ -519,30 +525,63 @@ bool ReplayEngine::runnable(const Scratch& s, std::uint32_t op,
   return true;
 }
 
-void ReplayEngine::recompute_candidate(Scratch& s, std::uint32_t res) const {
-  // The cached candidate is exactly what the old per-commit consider() scan
-  // computed for this resource's queue head; (kInf, kNone32) encodes "no
-  // runnable head" and can never win the selection below.
-  double ready = kInf;
-  std::uint32_t op = kNone32;
+ReplayEngine::Candidate ReplayEngine::head_candidate(const Scratch& s,
+                                                     std::uint32_t res) const {
+  // Exactly what the naive per-commit scan considers for this resource's
+  // queue head; the sentinel (kInf, kNone32) encodes "no runnable head".
   const std::uint32_t idx = queue_begin_[res] + s.head[res];
   if (idx < queue_begin_[res + 1]) {
-    const std::uint32_t cand = queue_ops_[idx];
-    double r = 0.0;
-    if (s.state[cand] == kPending && at_heads(s, cand) &&
-        runnable(s, cand, r)) {
-      ready = r;
-      op = cand;
-    }
+    const std::uint32_t op = queue_ops_[idx];
+    double ready = 0.0;
+    if (s.state[op] == kPending && at_heads(s, op) && runnable(s, op, ready))
+      return {ready, op};
   }
-  s.cand_ready[res] = ready;
-  s.cand_op[res] = op;
+  return {kInf, kNone32};
+}
+
+void ReplayEngine::recompute_candidate(Scratch& s, std::uint32_t res) const {
+  ++s.counters_.recomputes;
+  std::size_t node = leaf_base_ + res;
+  s.tree[node] = head_candidate(s, res);
+  // Replay the matches on the path to the root, stopping at the first node
+  // whose winner does not change (nothing above it can change either).
+  for (node /= 2; node >= 1; node /= 2) {
+    const Candidate& left = s.tree[2 * node];
+    const Candidate& right = s.tree[2 * node + 1];
+    const Candidate& win = before(right, left) ? right : left;
+    if (win.ready == s.tree[node].ready && win.op == s.tree[node].op) break;
+    s.tree[node] = win;
+  }
+}
+
+void ReplayEngine::rebuild_candidates(Scratch& s) const {
+  s.counters_.recomputes += resource_count_;
+  for (std::uint32_t res = 0;
+       res < static_cast<std::uint32_t>(resource_count_); ++res)
+    s.tree[leaf_base_ + res] = head_candidate(s, res);
+  for (std::size_t leaf = leaf_base_ + resource_count_; leaf < 2 * leaf_base_;
+       ++leaf)
+    s.tree[leaf] = {kInf, kNone32};
+  for (std::size_t node = leaf_base_ - 1; node >= 1; --node) {
+    const Candidate& left = s.tree[2 * node];
+    const Candidate& right = s.tree[2 * node + 1];
+    s.tree[node] = before(right, left) ? right : left;
+  }
 }
 
 void ReplayEngine::mark_dirty(Scratch& s, std::uint32_t res) const {
   if (s.all_dirty || s.dirty_flag[res] != 0) return;
   s.dirty_flag[res] = 1;
   s.dirty_resources.push_back(res);
+}
+
+void ReplayEngine::mark_head_dirty(Scratch& s, std::uint32_t res) const {
+  mark_dirty(s, res);
+  const std::uint32_t idx = queue_begin_[res] + s.head[res];
+  if (idx >= queue_begin_[res + 1]) return;
+  const std::uint32_t op = queue_ops_[idx];
+  if (res_a_[op] != kNone32) mark_dirty(s, res_a_[op]);
+  if (res_b_[op] != kNone32) mark_dirty(s, res_b_[op]);
 }
 
 bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
@@ -552,57 +591,42 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
   // operations (plus resource-free hand-offs) whose prerequisites are met,
   // commit the one with the earliest candidate start; lowest op id breaks
   // ties. Instead of re-deriving every head's readiness each step, the
-  // Scratch keeps a per-resource candidate cache (SoA: cand_ready/cand_op)
-  // and each commit refreshes only the resources the previous commit could
-  // have affected; the selection is then a branch-light min scan over two
-  // flat arrays. Candidate values come from the same at_heads/runnable
-  // code, so the selected (ready, op) — tie-breaks, ±inf conventions and
-  // IEEE arithmetic included — is bit-identical to the full rescan.
+  // Scratch keeps each resource's candidate in a tournament tree and each
+  // commit recomputes only the resources the previous events dirtied; the
+  // ready hand-offs wait in a min-heap. The selection merges the tree's
+  // root with the heap's top. Candidate values come from the same
+  // at_heads/runnable code, so the selected (ready, op) — tie-breaks, ±inf
+  // conventions and IEEE arithmetic included — is bit-identical to the
+  // full rescan.
   if (s.all_dirty) {
-    for (std::uint32_t res = 0;
-         res < static_cast<std::uint32_t>(resource_count_); ++res)
-      recompute_candidate(s, res);
+    rebuild_candidates(s);
     s.all_dirty = false;
-    s.dirty_resources.clear();
-    std::fill(s.dirty_flag.begin(), s.dirty_flag.end(), 0);
+    for (const std::uint32_t res : s.dirty_resources) s.dirty_flag[res] = 0;
   } else {
     for (const std::uint32_t res : s.dirty_resources) {
       s.dirty_flag[res] = 0;
       recompute_candidate(s, res);
     }
-    s.dirty_resources.clear();
   }
+  s.dirty_resources.clear();
 
-  std::uint32_t best = kNone32;
-  double best_start = kInf;
-  for (std::size_t res = 0; res < resource_count_; ++res) {
-    const double ready = s.cand_ready[res];
-    const std::uint32_t op = s.cand_op[res];
-    if (ready < best_start || (ready == best_start && op < best)) {
-      best_start = ready;
-      best = op;
-    }
-  }
-  for (std::size_t hi = 0; hi < s.handoffs.size();) {
-    const std::uint32_t op = s.handoffs[hi];
-    if (s.state[op] != kPending) {
-      s.handoffs[hi] = s.handoffs.back();  // drop settled hand-offs
-      s.handoffs.pop_back();
-      continue;
-    }
-    double ready = 0.0;
-    if (runnable(s, op, ready) &&
-        (ready < best_start || (ready == best_start && op < best))) {
-      best_start = ready;
-      best = op;
-    }
-    ++hi;
+  const auto later = [](const Candidate& a, const Candidate& b) {
+    return before(b, a);
+  };
+  std::uint32_t best = s.tree[1].op;
+  double best_start = s.tree[1].ready;
+  if (!s.ready_handoffs.empty() && before(s.ready_handoffs.front(), s.tree[1])) {
+    best_start = s.ready_handoffs.front().ready;
+    best = s.ready_handoffs.front().op;
+    std::pop_heap(s.ready_handoffs.begin(), s.ready_handoffs.end(), later);
+    s.ready_handoffs.pop_back();
   }
 
   if (best == kNone32) {
     // Strict committed order stuck (circular wait through rerouted inputs —
     // possible only under crashes): any prerequisite-ready op may jump the
     // queue; the resource clocks still serialize everything.
+    ++s.counters_.relaxation_scans;
     for (std::uint32_t op = 0; op < op_count_; ++op) {
       if (s.state[op] != kPending) continue;
       double ready = 0.0;
@@ -617,6 +641,8 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
       // A queue-jumping commit moves resource clocks under ops that never
       // headed a queue — no targeted invalidation covers that, so refresh
       // everything next step (relaxations are rare: zero fault-free).
+      // The jumping op is never a hand-off: a ready hand-off sits in the
+      // heap and would have been selected above.
       s.all_dirty = true;
     }
   }
@@ -633,6 +659,7 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
     return false;
   }
 
+  ++s.counters_.events;
   s.start[best] = best_start;
   const double finish = best_start + duration_[best];
   s.finish[best] = finish;
@@ -650,9 +677,13 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
     s.free_at[p] = kInf;           // exec resource
     s.free_at[m_ + p] = kInf;      // send port
     s.free_at[2 * m_ + p] = kInf;  // receive port
-    // The caller runs propagate(), which advances this op's resources and
-    // those of everything that dies with it (and dirties every candidate).
-    s.all_dirty = true;
+    // Those clocks feed the candidates of the three resources' heads; a
+    // wire at the send port's head also caches its candidate at its link.
+    // The caller runs propagate(), which advances and dirties the
+    // resources of this op and of everything that dies with it.
+    mark_head_dirty(s, static_cast<std::uint32_t>(p));
+    mark_head_dirty(s, static_cast<std::uint32_t>(m_ + p));
+    mark_head_dirty(s, static_cast<std::uint32_t>(2 * m_ + p));
     return true;
   }
 
@@ -671,9 +702,17 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
   // ops behind it on its own resources (heads and clocks moved, covered
   // above); its prerequisite dependents (now satisfiable); and the exec one
   // of whose input slots it feeds (that slot's earliest live arrival may
-  // have dropped). Resource-free hand-offs are rescanned every step.
+  // have dropped). A dependent hand-off becomes ready at this finish time
+  // and enters the heap.
   for (std::uint32_t i = dep_begin_[best]; i < dep_begin_[best + 1]; ++i) {
     const std::uint32_t d = dep_ops_[i];
+    if (kind_[d] == kHandoff) {
+      ++s.counters_.handoff_checks;
+      s.ready_handoffs.push_back({finish, d});
+      std::push_heap(s.ready_handoffs.begin(), s.ready_handoffs.end(),
+                     later);
+      continue;
+    }
     if (res_a_[d] != kNone32) mark_dirty(s, res_a_[d]);
     if (res_b_[d] != kNone32) mark_dirty(s, res_b_[d]);
   }
@@ -722,7 +761,6 @@ CrashResult ReplayEngine::collect(const Scratch& s) const {
 }
 
 void ReplayEngine::record_fault_free() {
-  const std::size_t max_snapshots = options_.max_snapshots;
   const CrashScenario none = CrashScenario::none(m_);
   Scratch s;
 
@@ -741,7 +779,7 @@ void ReplayEngine::record_fault_free() {
   // affects replay results.
   std::vector<std::size_t> marks;
   const std::size_t interval = std::max<std::size_t>(
-      1, (commit_count_ + max_snapshots - 1) / max_snapshots);
+      1, (commit_count_ + kMaxSnapshots - 1) / kMaxSnapshots);
   for (std::size_t i = interval; i < commit_count_; i += interval)
     marks.push_back(i);
   marks.push_back(commit_count_);
@@ -767,8 +805,7 @@ void ReplayEngine::record_fault_free() {
       snap.finish = s.finish;
       snap.head = s.head;
       snap.free_at = s.free_at;
-      for (const std::uint32_t op : initial_handoffs_)
-        if (s.state[op] == kPending) snap.pending_handoffs.push_back(op);
+      snap.ready_handoffs = s.ready_handoffs;
       snapshots_.push_back(std::move(snap));
     }
   }

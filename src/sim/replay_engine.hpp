@@ -15,7 +15,7 @@
 ///     replay (and every worker thread).
 ///  2. **Prefix snapshots.** The fault-free timeline is simulated once at
 ///     construction; the mutable simulator state (op states and times, queue
-///     head cursors, resource clocks, pending hand-offs) is checkpointed at
+///     head cursors, resource clocks, ready hand-offs) is checkpointed at
 ///     event boundaries, each snapshot annotated with the per-processor
 ///     maximum finish time committed so far. A scenario whose crash times
 ///     all exceed those maxima replays *identically* through that prefix, so
@@ -26,6 +26,33 @@
 ///     topological op order testing per-op processor bitmasks against the
 ///     ≤64-proc dead word (the worklist closure remains for m > 64 and for
 ///     mid-replay θ deaths), instead of the naive fixpoint scan.
+///  3. **Indexed event selection.** The naive replay picks each event by
+///     rescanning every resource's queue head and every pending hand-off:
+///     O(resources + pending hand-offs) per event. Here each resource's
+///     head candidate (ready, op id) is cached in a tournament tree, the
+///     hand-offs whose source exec is done wait in a min-heap (a hand-off
+///     holds no resource, so its ready time finish[source] never changes
+///     once known), and the event is the lexicographically smaller of the
+///     tree's root and the heap's top — the naive order, tie-breaks and
+///     the (+inf, op) candidates of θ-dead resources included. A resource
+///     is recomputed, in O(log resources), only when an input of its
+///     candidate changed:
+///       - a commit moves its own resources' heads and clocks, makes its
+///         dependents runnable and may lower the earliest live arrival of
+///         the exec it feeds;
+///       - a death (the θ-crashed op and everything propagate() kills
+///         with it) moves the heads of the dead ops' resources, while a
+///         dead input never lowers an exec's earliest live arrival and a
+///         dead prerequisite kills its dependent;
+///       - a θ crash sets the dead processor's three clocks to +inf,
+///         which changes the candidates cached at those resources and, for
+///         a wire heading the send port, at the wire's link too.
+///     A resource whose head is a wire not yet heading its other queue
+///     caches the sentinel (+inf, kNone32); the candidate lives at that
+///     other queue, whose recompute is due anyway when the wire reaches
+///     its head. Every resource is recomputed on reset, on snapshot
+///     restore and after an order relaxation (a queue-jumping commit moves
+///     clocks under ops that head no queue).
 ///
 /// The engine is exact-only and keeps no memo: deduplicating identical
 /// scenarios, memoising their records and θ-quantization all live in the
@@ -55,20 +82,24 @@
 
 namespace caft {
 
-/// Tuning knobs; the defaults suit campaign workloads.
-struct ReplayEngineOptions {
-  /// Upper bound on stored fault-free snapshots; memory is
-  /// O(max_snapshots × ops).
-  std::size_t max_snapshots = 64;
-};
-
 /// Prefix-cached replay engine bound to one committed schedule.
 class ReplayEngine {
+  /// A selection candidate. Candidates order lexicographically on
+  /// (ready, op); the sentinel (+inf, kNone32) means "nothing runnable" and
+  /// sorts after every real candidate, (+inf, op) included.
+  struct Candidate {
+    double ready;
+    std::uint32_t op;
+  };
+  /// The lexicographic (ready, op) order of the naive selection.
+  static bool before(const Candidate& a, const Candidate& b) {
+    return a.ready < b.ready || (a.ready == b.ready && a.op < b.op);
+  }
+
  public:
   /// Builds the template and records the fault-free timeline. `schedule`
   /// and `costs` must outlive the engine.
-  ReplayEngine(const Schedule& schedule, const CostModel& costs,
-               ReplayEngineOptions options = {});
+  ReplayEngine(const Schedule& schedule, const CostModel& costs);
 
   ReplayEngine(const ReplayEngine&) = delete;
   ReplayEngine& operator=(const ReplayEngine&) = delete;
@@ -77,7 +108,18 @@ class ReplayEngine {
   /// avoids all per-replay allocation; contents are opaque.
   class Scratch {
    public:
+    /// Work done by the replays run through this Scratch, cumulative over
+    /// its lifetime (plain counts; the campaign executor sums them across
+    /// workers and publishes them as the sim.replay.* obs counters).
+    struct Counters {
+      std::uint64_t events = 0;            ///< ops committed
+      std::uint64_t recomputes = 0;        ///< resource candidates recomputed
+      std::uint64_t handoff_checks = 0;    ///< hand-off readiness checks
+      std::uint64_t relaxation_scans = 0;  ///< order-relaxation full scans
+    };
+
     Scratch() = default;
+    [[nodiscard]] const Counters& counters() const { return counters_; }
 
    private:
     friend class ReplayEngine;
@@ -86,16 +128,18 @@ class ReplayEngine {
     std::vector<double> finish;
     std::vector<std::uint32_t> head;
     std::vector<double> free_at;
-    std::vector<std::uint32_t> handoffs;
     std::vector<std::uint32_t> dead_inputs;
     std::vector<std::uint32_t> worklist;
-    /// Per-resource candidate cache (structure-of-arrays): the ready time
-    /// and op id of each resource's runnable queue head, kept current by
-    /// targeted invalidation so each commit recomputes only the resources
-    /// the previous commit touched, then takes a branch-light min over two
-    /// flat arrays. (kInf, kNone32) encodes "no runnable head".
-    std::vector<double> cand_ready;
-    std::vector<std::uint32_t> cand_op;
+    /// Tournament tree over the per-resource candidates: leaf
+    /// leaf_base_ + r caches the (ready, op) of resource r's runnable queue
+    /// head, every inner node the smaller of its two children, so the root
+    /// tree[1] is the minimum. A commit recomputes only the resources it
+    /// dirtied, each in O(log resources).
+    std::vector<Candidate> tree;
+    /// Min-heap of the pending hand-offs whose prerequisite is done. A
+    /// hand-off holds no resource, so its ready time finish[prereq] is
+    /// final once pushed; it leaves the heap only when it commits.
+    std::vector<Candidate> ready_handoffs;
     std::vector<std::uint32_t> dirty_resources;
     std::vector<std::uint8_t> dirty_flag;
     bool all_dirty = true;
@@ -105,6 +149,7 @@ class ReplayEngine {
     /// Home of the most recent result (replay returns a reference into
     /// this — never a copy).
     CrashResult result;
+    Counters counters_;
   };
 
   /// Re-executes the schedule under `scenario`; equivalent to
@@ -140,9 +185,9 @@ class ReplayEngine {
     std::vector<double> finish;
     std::vector<std::uint32_t> head;
     std::vector<double> free_at;
-    /// Hand-off ops still pending at this point (hand-offs hold no
-    /// resource, so the queue heads cannot rediscover them on restore).
-    std::vector<std::uint32_t> pending_handoffs;
+    /// The ready hand-off heap at this point (hand-offs hold no resource,
+    /// so the queue heads cannot rediscover them on restore).
+    std::vector<Candidate> ready_handoffs;
   };
 
   void build_template();
@@ -162,9 +207,17 @@ class ReplayEngine {
   void close_dead_mask(Scratch& s, std::uint64_t dead_mask) const;
   /// Advances one resource's head cursor past settled ops.
   void advance_resource(Scratch& s, std::uint32_t res) const;
-  /// Recomputes one resource's cached (ready, op) candidate.
+  /// The (ready, op) candidate of one resource's queue head.
+  [[nodiscard]] Candidate head_candidate(const Scratch& s,
+                                         std::uint32_t res) const;
+  /// Recomputes one resource's leaf and the tree path above it.
   void recompute_candidate(Scratch& s, std::uint32_t res) const;
+  /// Recomputes every leaf and rebuilds the tree bottom-up.
+  void rebuild_candidates(Scratch& s) const;
   void mark_dirty(Scratch& s, std::uint32_t res) const;
+  /// Dirties `res` and both resources of its queue head (a wire heads a
+  /// send port and a link at once).
+  void mark_head_dirty(Scratch& s, std::uint32_t res) const;
   [[nodiscard]] bool at_heads(const Scratch& s, std::uint32_t op) const;
   [[nodiscard]] bool runnable(const Scratch& s, std::uint32_t op,
                               double& ready) const;
@@ -176,6 +229,8 @@ class ReplayEngine {
   std::size_t m_ = 0;
   std::size_t op_count_ = 0;
   std::size_t resource_count_ = 0;
+  /// First leaf of the candidate tree: a power of two >= resource_count_.
+  std::size_t leaf_base_ = 1;
 
   // --- immutable per-op template (struct-of-arrays; see build_template).
   std::vector<std::uint8_t> kind_;
@@ -192,7 +247,6 @@ class ReplayEngine {
   /// Scratch head cursors stay relative to each resource's own queue.
   std::vector<std::uint32_t> queue_begin_;  ///< size resource_count_+1
   std::vector<std::uint32_t> queue_ops_;
-  std::vector<std::uint32_t> initial_handoffs_;
 
   /// exec ops per task, flattened CSR-style (for collect()):
   /// exec_ops_[exec_op_begin_[t] + replica] = op id.
@@ -224,7 +278,6 @@ class ReplayEngine {
 
   std::size_t commit_count_ = 0;
   std::vector<Snapshot> snapshots_;
-  ReplayEngineOptions options_;
 };
 
 }  // namespace caft

@@ -588,5 +588,43 @@ TEST(CampaignObs, ReplaysPerSecondGaugeCountsExecutedReplays) {
                        telemetry.wall_seconds);
 }
 
+TEST(CampaignObs, ReplayWorkCountersAreIndependentOfThreadCount) {
+  // The sim.replay.* counters sum every worker's Scratch once, after the
+  // range: the same crash-window campaign reports the same engine work at
+  // one thread and at three.
+  const Scenario s = random_setup(64, 8, 1.0);
+  const Schedule schedule = caft_for(s, 1);
+  const CrashWindowSampler sampler(8, 2, 0.0, schedule.horizon());
+  obs::Registry& registry = obs::Registry::global();
+  const char* const names[] = {"sim.replay.events", "sim.replay.recomputes",
+                               "sim.replay.handoff_checks",
+                               "sim.replay.relaxation_scans"};
+  const auto read = [&] {
+    const obs::MetricsSnapshot snapshot = registry.snapshot();
+    std::vector<std::uint64_t> values;
+    for (const char* name : names)
+      values.push_back(snapshot.counter_value(name));
+    return values;
+  };
+  const auto work = [&](std::size_t threads) {
+    CampaignOptions options;
+    options.replays = 300;
+    options.block = 64;
+    options.threads = threads;
+    registry.set_enabled(true);
+    std::vector<std::uint64_t> values = read();
+    (void)run_campaign(schedule, *s.costs, sampler, options);
+    const std::vector<std::uint64_t> after = read();
+    registry.set_enabled(false);
+    for (std::size_t i = 0; i < values.size(); ++i)
+      values[i] = after[i] - values[i];
+    return values;
+  };
+  const std::vector<std::uint64_t> one = work(1);
+  EXPECT_GT(one[0], 0u);
+  EXPECT_GT(one[1], 0u);
+  EXPECT_EQ(work(3), one);
+}
+
 }  // namespace
 }  // namespace caft

@@ -478,6 +478,43 @@ TEST(CampaignServer, InflatedListCountsBecomeErrorsNamingTheField) {
   }
 }
 
+TEST(CampaignServer, ErrorDocumentsCarryNoCheckInternals) {
+  // An error document carries the bare message: never the failed check's
+  // C++ expression, nor the source path of the build that raised it.
+  server::CampaignServer daemon(server::ServerOptions{});
+  const Instance instance = random_instance(33, 6, 1.0, 1);
+  server::CampaignRequest unknown_algo;
+  unknown_algo.spec = base_spec();
+  unknown_algo.spec.algorithms = {"nonesuch"};
+  unknown_algo.instance_bytes = instance_bytes(instance);
+  server::CampaignRequest garbage = unknown_algo;
+  garbage.spec = base_spec();
+  garbage.instance_bytes = "this is not an instance file\n";
+  const std::vector<std::string> responses = {
+      serve_raw(daemon, request_with_line(
+                            "quantiles", "quantiles 4611686018427387904 0x1p-1")),
+      serve_raw(daemon, request_with_line(
+                            "algorithms", "algorithms 4611686018427387904 caft")),
+      serve_raw(daemon, "caft-campaign-request v2\nend\n"),
+      serve_raw(daemon, "caft-campaign-request v1\nreplays 10\n"),
+      serve_once(daemon, unknown_algo),
+      serve_once(daemon, garbage),
+  };
+  for (const std::string& text : responses) {
+    std::istringstream in(text);
+    const server::ServerResponse response = server::read_server_response(in);
+    ASSERT_EQ(response.kind, server::ServerResponse::Kind::kError) << text;
+    EXPECT_FALSE(response.error.empty());
+    EXPECT_EQ(text.find("check failed"), std::string::npos) << text;
+    EXPECT_EQ(text.find(".cpp"), std::string::npos) << text;
+    EXPECT_EQ(text.find(".hpp"), std::string::npos) << text;
+  }
+  // The first probe's message is exactly the check's text.
+  std::istringstream first(responses.front());
+  EXPECT_EQ(server::read_server_response(first).error,
+            "campaign wire: missing quantile");
+}
+
 // --- the headline guarantee
 
 TEST(CampaignServer, ReportIdentityColdAndWarmWithCacheHitsObserved) {

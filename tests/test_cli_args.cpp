@@ -2,12 +2,14 @@
 // the strict numeric/choice validation the CLIs rely on: a malformed value
 // must abort with a clear CheckError instead of silently truncating
 // ("10x" -> 10) or falling back to a default — a typo'd campaign flag must
-// never silently run a different campaign.
+// never silently run a different campaign — and so must an undeclared
+// flag.
 #include "common/cli_args.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,17 +18,70 @@
 #include <vector>
 
 #include "campaign/progress.hpp"
+#include "common/subprocess.hpp"
 
 namespace caft {
 namespace {
 
-/// Builds a CliArgs from a token list (argv[0] is skipped by the parser).
-CliArgs make_args(std::vector<std::string> tokens) {
+/// Builds a CliArgs from a token list (argv[0] is skipped by the parser)
+/// that declares `flags`.
+CliArgs make_args(std::vector<std::string> tokens,
+                  const std::vector<std::string>& flags) {
   tokens.insert(tokens.begin(), "prog");
   std::vector<char*> argv;
   argv.reserve(tokens.size());
   for (std::string& token : tokens) argv.push_back(token.data());
-  return CliArgs(static_cast<int>(argv.size()), argv.data());
+  return CliArgs(static_cast<int>(argv.size()), argv.data(), flags);
+}
+
+/// Same, declaring exactly the flags the tokens use.
+CliArgs make_args(const std::vector<std::string>& tokens) {
+  std::vector<std::string> flags;
+  for (const std::string& token : tokens)
+    if (token.rfind("--", 0) == 0) flags.push_back(token.substr(2));
+  return make_args(tokens, flags);
+}
+
+/// The campaign_cli binary (ctest exports its path; empty otherwise).
+std::string campaign_cli_path() {
+  const char* path = std::getenv("CAFT_CAMPAIGN_CLI");
+  return path == nullptr ? std::string() : std::string(path);
+}
+
+TEST(CliArgs, RejectsUndeclaredFlags) {
+  const std::vector<std::string> flags = {"replays", "theta-buckets"};
+  EXPECT_EQ(make_args({"--replays", "10"}, flags).get_size("replays", 0), 10u);
+  // Declared but absent flags are fine; positionals are not flags.
+  EXPECT_FALSE(make_args({"input.txt"}, flags).has("replays"));
+  try {
+    (void)make_args({"--replays", "10", "--bogus-flag", "7"}, flags);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& error) {
+    EXPECT_STREQ(error.what(), "unknown flag --bogus-flag");
+  }
+  // A retired option is rejected even as a bare flag.
+  EXPECT_THROW((void)make_args({"--theta-buckets", "16", "--exact"}, flags),
+               CheckError);
+  // Names match exactly: no prefixes, no single dashes stripped.
+  EXPECT_THROW((void)make_args({"--replay", "10"}, flags), CheckError);
+}
+
+TEST(CliArgs, CampaignCliExitsOnUnknownFlags) {
+  const std::string cli = campaign_cli_path();
+  if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
+  const std::vector<std::vector<std::string>> commands = {
+      {cli, "--bogus-flag", "7"},
+      {cli, "--replays", "10", "--procs", "6", "--theta-buckets", "16",
+       "--exact"},
+  };
+  for (const std::vector<std::string>& command : commands) {
+    const SubprocessResult run = run_subprocess(command, "");
+    ASSERT_TRUE(run.spawned) << run.error;
+    EXPECT_TRUE(run.exited);
+    EXPECT_EQ(run.exit_code, 2) << run.err;
+    EXPECT_NE(run.err.find("unknown flag --"), std::string::npos) << run.err;
+    EXPECT_TRUE(run.out.empty()) << "ran a campaign anyway:\n" << run.out;
+  }
 }
 
 TEST(CliArgs, ParsesFlagsValuesAndPositionals) {

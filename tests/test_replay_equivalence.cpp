@@ -20,6 +20,7 @@
 #include "algo/heft.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/scenario_sampler.hpp"
+#include "comm/one_port.hpp"
 #include "dag/generators.hpp"
 #include "helpers.hpp"
 #include "platform/cost_synthesis.hpp"
@@ -245,6 +246,130 @@ TEST(ReplayEquivalence, SparseTopologyWithRouters) {
         CrashScenario::at_zero(
             6, {ProcId(0), ProcId(static_cast<ProcId::value_type>(p))}),
         "star hub plus p" + std::to_string(p));
+}
+
+TEST(ReplayEquivalence, CrashWindowsAtScaleMatchNaive) {
+  // 200-400-task DAGs on 32 processors: 1,088 resources on the clique, so
+  // the candidate tree is eleven levels deep and a θ death strikes a
+  // platform far wider than the small sweeps above. Crash windows with
+  // k = 1 … ε + 2 and θ across [0, H] reach the targeted death
+  // invalidation (the θ-dead processor's resources, the ops it kills) and
+  // the ready hand-off heap (macro-dataflow turns every comm into one).
+  struct Config {
+    std::uint64_t seed;
+    CommModelKind model;
+    bool star;  ///< multi-hop routes through the hub (a router)
+  };
+  const std::vector<Config> configs = {
+      {201, CommModelKind::kOnePort, false},
+      {202, CommModelKind::kMacroDataflow, false},
+      {203, CommModelKind::kOnePort, true},
+  };
+  const std::size_t procs = 32;
+  const std::size_t eps = 2;
+  std::size_t failed = 0;
+  ReplayEngine::Scratch scratch;
+  for (const Config& config : configs) {
+    Rng rng(config.seed);
+    RandomDagParams dag;
+    dag.min_tasks = 200;
+    dag.max_tasks = 400;
+    const TaskGraph g = random_dag(dag, rng);
+    const Platform platform = config.star ? Platform(Topology::star(procs))
+                                          : Platform(procs);
+    const CostModel costs =
+        synthesize_costs(g, platform, CostSynthesisParams{}, rng);
+    CaftOptions options;
+    options.base = SchedulerOptions{eps, config.model};
+    const Schedule schedule = caft_schedule(g, platform, costs, options);
+    const ReplayEngine engine(schedule, costs);
+    const double horizon = schedule.horizon();
+    for (std::size_t draw = 0; draw < 16; ++draw) {
+      const std::size_t k = 1 + draw % (eps + 2);
+      const CrashScenario scenario =
+          CrashWindowSampler(procs, k, 0.0, horizon).sample(rng);
+      check_triple(schedule, costs, engine, scratch, scenario,
+                   "seed " + std::to_string(config.seed) + " draw " +
+                       std::to_string(draw));
+      if (!engine.replay(scenario, scratch).success) ++failed;
+    }
+  }
+  // The sample must reach the death paths: some replay loses every
+  // replica of a task.
+  EXPECT_GT(failed, 0u);
+}
+
+TEST(ReplayEquivalence, OrderRelaxationAfterCrashMatchesNaive) {
+  // No randomized instance above relaxes the committed order, so this one
+  // is hand-posted. Chain S -> T -> X -> Y, two replicas each, on a
+  // 4-processor clique:
+  //   S1@P1 [0,10]  S2@P2 [50,60]  T1@P0 (inputs from S1 and S2)
+  //   X1@P3, X2@P2 (inputs from T1 only)  Y1@P0 (from X1)  Y2@P2 (from X2)
+  // The receive port of P0 commits S1->T1, then X1->Y1, then S2->T1. When
+  // P1 dies before S1's message leaves, T1 can only use S2->T1, which
+  // waits behind X1->Y1, which waits (through X1) on T1: the strict order
+  // is a circular wait, and the replay must jump S2->T1 ahead.
+  const TaskGraph g = chain(4, 5.0);
+  Platform platform(4);
+  const CostModel costs = uniform_costs(g, platform, 10.0, 1.0);
+  Schedule schedule(g, platform, 1, CommModelKind::kOnePort);
+  OnePortEngine one_port(platform, costs);
+  const std::vector<TaskId> tasks = g.all_tasks();
+  const auto exec = [&](std::size_t task, ReplicaIndex r, std::size_t proc,
+                        double ready) {
+    const TaskTimes times =
+        one_port.post_exec(ProcId(proc), ready, 10.0);
+    schedule.set_replica(tasks[task], r,
+                         {ProcId(proc), times.start, times.finish});
+    return times.finish;
+  };
+  const auto comm = [&](std::size_t task, ReplicaIndex from,
+                        std::size_t from_proc, ReplicaIndex to,
+                        std::size_t to_proc, double ready) {
+    CommAssignment c;
+    c.edge = static_cast<EdgeIndex>(task);
+    c.from = {tasks[task], from};
+    c.to = {tasks[task + 1], to};
+    c.src_proc = ProcId(from_proc);
+    c.dst_proc = ProcId(to_proc);
+    c.volume = 5.0;
+    c.times = one_port.post_comm(c.src_proc, c.dst_proc, c.volume, ready);
+    schedule.add_comm(c);
+    return c.times.arrival;
+  };
+  // Posted in time order (the one-port engine appends per resource).
+  const double s1 = exec(0, 0, 1, 0.0);
+  const double s1_t1 = comm(0, 0, 1, 0, 0, s1);
+  const double s1_t2 = comm(0, 0, 1, 1, 3, s1);
+  const double t1 = exec(1, 0, 0, s1_t1);
+  const double t1_x1 = comm(1, 0, 0, 0, 3, t1);
+  const double x1 = exec(2, 0, 3, t1_x1);
+  const double x1_y1 = comm(2, 0, 3, 0, 0, x1);
+  const double s2 = exec(0, 1, 2, 50.0);
+  (void)comm(0, 1, 2, 0, 0, s2);
+  (void)comm(0, 1, 2, 1, 3, s2);
+  (void)exec(1, 1, 3, s1_t2);
+  const double t1_x2 = comm(1, 0, 0, 1, 2, t1);
+  const double x2 = exec(2, 1, 2, t1_x2);
+  const double x2_y2 = comm(2, 1, 2, 1, 2, x2);  // intra: a hand-off
+  (void)exec(3, 0, 0, x1_y1);
+  (void)exec(3, 1, 2, x2_y2);
+  ASSERT_TRUE(schedule.complete());
+
+  const ReplayEngine engine(schedule, costs);
+  ReplayEngine::Scratch scratch;
+  // Dead from the start, killed mid-execution at θ = 5, and killed while
+  // sending S1's message at θ = 12: the last two reach the relaxation
+  // through a θ death.
+  for (const double theta : {0.0, 5.0, 12.0}) {
+    CrashScenario scenario = CrashScenario::none(4);
+    scenario.set_crash_time(ProcId(1), theta);
+    const CrashResult naive = simulate_crashes(schedule, costs, scenario);
+    EXPECT_GT(naive.order_relaxations, 0u) << "theta " << theta;
+    EXPECT_TRUE(naive.success) << "theta " << theta;
+    check_triple(schedule, costs, engine, scratch, scenario,
+                 "relaxation theta " + std::to_string(theta));
+  }
 }
 
 TEST(ReplayEquivalence, RepeatsAcrossEnginesStayIdentical) {

@@ -6,7 +6,9 @@
 //    worklist propagation computed, witnessed against the naive
 //    simulate_crashes reference on randomized 64-processor schedules —
 //    the widest platform the bitmask path handles;
-//  - the > 64-processor worklist fallback must stay byte-identical too.
+//  - the > 64-processor worklist fallback must stay byte-identical too;
+//  - the commit loop's work per event must follow the events that change,
+//    not the size of the platform (counted through Scratch::counters()).
 #include "sim/replay_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "algo/caft.hpp"
+#include "campaign/scenario_sampler.hpp"
 #include "comm/one_port.hpp"
 #include "common/rng.hpp"
 #include "dag/generators.hpp"
@@ -112,8 +115,8 @@ TEST(ReplaySoa, DeadMaskClosureMatchesNaiveOnRandom64ProcSchedules) {
 
 TEST(ReplaySoa, MidRunCrashesMatchNaiveOn64Procs) {
   // θ-crashes (strictly positive crash instants) take the event-driven
-  // path — candidate cache, propagate(), all-dirty invalidation — rather
-  // than the up-front closure. Pin that side on the same wide platform.
+  // path — candidate tree, propagate(), targeted death invalidation —
+  // rather than the up-front closure. Pin that side on the same wide platform.
   RandomDagParams dag;
   dag.min_tasks = 20;
   dag.max_tasks = 35;
@@ -209,6 +212,44 @@ TEST(ReplaySoa, WorklistFallbackMatchesNaiveAbove64Procs) {
 }
 
 // ------------------------------------------------------- memo torture test
+
+// ------------------------------------------------ work per committed event
+
+TEST(ReplaySoa, WorkPerEventFollowsEventsNotPlatformSize) {
+  // A 500-task CAFT schedule on 32 processors has 3 × 32 + 992 = 1,088
+  // resources. Under crash-window scenarios each commit must recompute a
+  // handful of resource candidates (not all of them after every death),
+  // and each hand-off must be checked about once per replay (not once per
+  // commit while it waits).
+  RandomDagParams dag;
+  dag.min_tasks = 500;
+  dag.max_tasks = 500;
+  const Scenario s = test::random_setup(501, 32, 1.0, dag);
+  const Schedule schedule = caft_for(s, 2);
+  std::size_t handoff_ops = 0;  // one-port: intra-processor comms only
+  for (const CommAssignment& c : schedule.comms())
+    if (c.intra()) ++handoff_ops;
+  ASSERT_GT(handoff_ops, 0u);
+
+  const ReplayEngine engine(schedule, *s.costs);
+  const CrashWindowSampler sampler(32, 2, 0.0, schedule.horizon() / 2);
+  ReplayEngine::Scratch scratch;
+  Rng rng(5011);
+  const int replays = 20;
+  for (int i = 0; i < replays; ++i) {
+    const CrashScenario scenario = sampler.sample(rng);
+    const CrashResult& incr = engine.replay(scenario, scratch);
+    // The naive reference costs O(resources) per event; spot-check a few.
+    if (i % 5 == 0)
+      expect_identical(simulate_crashes(schedule, *s.costs, scenario), incr,
+                       "draw " + std::to_string(i));
+  }
+  const ReplayEngine::Scratch::Counters& work = scratch.counters();
+  ASSERT_GT(work.events, 0u);
+  EXPECT_LE(static_cast<double>(work.recomputes),
+            10.0 * static_cast<double>(work.events));
+  EXPECT_LE(work.handoff_checks, 2 * handoff_ops * replays);
+}
 
 }  // namespace
 }  // namespace caft

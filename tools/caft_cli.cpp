@@ -55,6 +55,20 @@ int usage() {
   return 2;
 }
 
+/// The flags each subcommand reads; CliArgs rejects the rest.
+std::vector<std::string> command_flags(const std::string& command) {
+  if (command == "generate")
+    return {"family", "size", "granularity", "out", "procs", "seed",
+            "topology"};
+  if (command == "schedule")
+    return {"in",      "algo", "eps",   "model", "support",
+            "batch",   "out",  "dot",   "trace", "gantt"};
+  if (command == "replay") return {"in", "crash", "gantt", "trace"};
+  if (command == "resilience") return {"in", "failures"};
+  if (command == "figure") return {"reps", "csv"};
+  return {};  // algos takes no flags
+}
+
 TaskGraph build_graph(const Args& args, Rng& rng) {
   const std::string family = args.get("family", "random");
   const std::size_t size = args.get_size("size", 0);
@@ -247,7 +261,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", caft::version_line().c_str());
     return 0;
   }
-  const Args args(argc, argv, 2);
+  const Args args =
+      Args::parse_or_exit(argc, argv, command_flags(command), 2);
   try {
     if (command == "generate") return cmd_generate(args);
     if (command == "schedule") return cmd_schedule(args);

@@ -44,7 +44,9 @@
 /// by the bucket width, identical under either engine. --theta-buckets 0
 /// keeps every replay bit-exact.
 /// Numeric/choice flags are validated strictly; malformed values abort
-/// with a clear error instead of silently falling back to defaults.
+/// with a clear error instead of silently falling back to defaults, and a
+/// flag the tool does not declare aborts with "unknown flag --x" (exit
+/// status 2) before anything runs.
 ///
 /// --exec in-process|subprocess (default in-process) picks where campaigns
 /// run. `subprocess` fans each campaign out to --workers worker processes
@@ -114,6 +116,10 @@ namespace {
 using namespace caft;
 using ftsched::tools::arm_observability;
 using ftsched::tools::build_campaign_spec;
+using ftsched::tools::declare_flags;
+using ftsched::tools::observability_flags;
+using ftsched::tools::spec_flags;
+using ftsched::tools::table_flags;
 using ftsched::tools::write_observability_outputs;
 using ftsched::tools::write_table_outputs;
 
@@ -122,7 +128,13 @@ using Args = CliArgs;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args = Args::parse_or_exit(
+      argc, argv,
+      declare_flags({"help", "version", "worker", "progress", "in",
+                     "instance-seed", "tasks", "granularity", "procs", "eps",
+                     "threads", "engine", "exec", "worker-cmd", "workers",
+                     "worker-threads", "block-replays", "reorder-window"},
+                    {spec_flags(), observability_flags(), table_flags()}));
   // Explicitly requested help is a success, on stdout (the docs gate
   // probes it; see tools/check_docs.py).
   if (args.has("help")) {

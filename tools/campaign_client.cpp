@@ -41,7 +41,11 @@
 #include "server/socket.hpp"
 
 int main(int argc, char** argv) {
-  const caft::CliArgs args(argc, argv);
+  const caft::CliArgs args = caft::CliArgs::parse_or_exit(
+      argc, argv,
+      ftsched::tools::declare_flags(
+          {"help", "version", "in", "connect", "port", "eps", "progress"},
+          {ftsched::tools::spec_flags(), ftsched::tools::table_flags()}));
   if (args.has("help")) {
     std::printf("see the header of tools/campaign_client.cpp for usage\n");
     return 0;

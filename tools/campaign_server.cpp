@@ -56,7 +56,12 @@ void handle_shutdown_signal(int) { g_shutdown = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const caft::CliArgs args(argc, argv);
+  const caft::CliArgs args = caft::CliArgs::parse_or_exit(
+      argc, argv,
+      ftsched::tools::declare_flags(
+          {"help", "version", "listen", "port", "cache-size", "max-inflight",
+           "queue-limit", "threads", "engine", "block"},
+          {ftsched::tools::observability_flags()}));
   if (args.has("help")) {
     std::printf("see the header of tools/campaign_server.cpp for usage\n");
     return 0;

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -30,6 +31,32 @@
 
 namespace ftsched {
 namespace tools {
+
+/// The flags read by the helpers below, declared once here: a tool hands
+/// CliArgs its own flags plus the sets of the helpers it calls, and every
+/// other flag is rejected.
+/// build_campaign_spec (with build_sampler_spec):
+inline std::vector<std::string> spec_flags() {
+  return {"algos",    "sampler",    "k",          "horizon",
+          "rate",     "shape",      "scale",      "theta-lo",
+          "theta-hi", "group-size", "group-prob", "replays",
+          "seed",     "theta-buckets", "target-ci-width"};
+}
+/// arm_observability and write_observability_outputs:
+inline std::vector<std::string> observability_flags() {
+  return {"trace-out", "metrics-out"};
+}
+/// write_table_outputs:
+inline std::vector<std::string> table_flags() { return {"csv", "json"}; }
+
+/// `own` followed by every set in `shared`.
+inline std::vector<std::string> declare_flags(
+    std::vector<std::string> own,
+    std::initializer_list<std::vector<std::string>> shared) {
+  for (const std::vector<std::string>& set : shared)
+    own.insert(own.end(), set.begin(), set.end());
+  return own;
+}
 
 inline SamplerSpec build_sampler_spec(const caft::CliArgs& args,
                                       std::size_t eps) {
