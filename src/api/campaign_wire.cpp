@@ -64,25 +64,30 @@ std::string next_token(std::istringstream& line, const char* what) {
   return token;
 }
 
-void check_magic_line(const std::string& line, const char* magic) {
-  const std::string expected = std::string(magic) + " v1";
+void check_magic_line(const std::string& line, const char* magic,
+                      unsigned version) {
+  std::string speaks = "v";
+  speaks += std::to_string(version);
+  const std::string expected = std::string(magic) + " " + speaks;
   if (line == expected) return;
   // Version skew before corruption: `<magic> v<anything-else>` is a
   // well-formed document from a writer of another protocol generation —
-  // tell the peer to speak v1 instead of reporting a parse failure.
+  // tell the peer which version to speak instead of reporting a parse
+  // failure.
   if (line.rfind(std::string(magic) + " v", 0) == 0)
     throw caft::CheckError(
         "campaign wire: unsupported document version '" + line +
-        "' — this reader speaks v1 (expected '" + expected + "')");
+        "' — this reader speaks " + speaks + " (expected '" + expected +
+        "')");
   throw caft::CheckError("campaign wire: bad magic line '" + line +
                          "' (expected '" + expected + "')");
 }
 
-void expect_magic(std::istream& is, const char* magic) {
+void expect_magic(std::istream& is, const char* magic, unsigned version) {
   std::string line;
   CAFT_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
                  "campaign wire: empty document");
-  check_magic_line(line, magic);
+  check_magic_line(line, magic, version);
 }
 
 }  // namespace wire
@@ -248,22 +253,19 @@ bool read_spec_line(const std::string& key, std::istringstream& fields,
 
 void write_campaign_work_order(std::ostream& os,
                                const CampaignWorkOrder& order) {
-  os << "caft-campaign-work v1\n";
+  os << "caft-campaign-work v2\n";
   os << "instance " << order.instance_path << "\n";
   os << "algorithm " << order.algorithm << "\n";
   os << "block " << order.first << " " << order.count << "\n";
   write_spec_lines(os, order.spec);
-  os << "exec " << order.threads << " "
-     << (order.engine == caft::CampaignEngine::kNaive ? "naive"
-                                                      : "incremental")
-     << " " << order.block << "\n";
+  os << "exec " << order.threads << " " << order.block << "\n";
   os << "expect " << format_double(order.expect_makespan) << " "
      << format_double(order.expect_horizon) << "\n";
   os << "end\n";
 }
 
 CampaignWorkOrder read_campaign_work_order(std::istream& is) {
-  expect_magic(is, "caft-campaign-work");
+  expect_magic(is, "caft-campaign-work", 2);
   CampaignWorkOrder order;
   order.spec.algorithms.clear();  // the order names exactly one algorithm
   bool saw_end = false;
@@ -295,11 +297,6 @@ CampaignWorkOrder read_campaign_work_order(std::istream& is) {
       saw_block = true;
     } else if (key == "exec") {
       order.threads = parse_size(next_token(fields, "exec threads"), "threads");
-      const std::string engine = next_token(fields, "exec engine");
-      CAFT_CHECK_MSG(engine == "naive" || engine == "incremental",
-                     "campaign wire: unknown engine '" + engine + "'");
-      order.engine = engine == "naive" ? caft::CampaignEngine::kNaive
-                                       : caft::CampaignEngine::kIncremental;
       order.block = parse_size(next_token(fields, "exec block"), "block");
       // Both size worker allocations (one replay scratch per thread, the
       // wave's block × m crash-time matrix): bound them before anything

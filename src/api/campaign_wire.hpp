@@ -11,7 +11,7 @@
 /// of worker records must be indistinguishable from an in-process fold.
 ///
 /// Work order (one block of one campaign):
-///   caft-campaign-work v1
+///   caft-campaign-work v2
 ///   instance <path>                      # instance reference (io format)
 ///   algorithm <registry-name>
 ///   block <first> <count>                # contiguous canonical replays
@@ -22,7 +22,7 @@
 ///           <theta-lo> <theta-hi> <group-size> <group-prob>
 ///   request <eps|-> <model|-> <validate> <support> <one-to-one>
 ///           <batch-size> <mst>           # read_spec_line; "-" = no override
-///   exec <threads> <engine> <block>      # summary-neutral worker knobs;
+///   exec <threads> <block>               # summary-neutral worker knobs;
 ///                                        # threads <= kMaxCampaignThreads,
 ///                                        # 1 <= block <= kMaxCampaignBlock
 ///   expect <makespan> <horizon>          # coordinator's schedule, hexfloat;
@@ -103,16 +103,17 @@ namespace wire {
 [[nodiscard]] std::string next_token(std::istringstream& line,
                                      const char* what);
 
-/// Validates a document's first line against `<magic> v1`. Version skew
-/// gets its own diagnostic: a matching magic at any other version ("caft-
-/// campaign-work v2") names the version mismatch and tells the peer this
-/// reader speaks v1, instead of the generic bad-magic error a corrupt line
-/// earns — a future writer must be told to downgrade, not to debug
-/// "corruption".
-void check_magic_line(const std::string& line, const char* magic);
-/// Reads the magic line `<magic> v1` from `is` (check_magic_line rules)
-/// and positions the stream after it.
-void expect_magic(std::istream& is, const char* magic);
+/// Validates a document's first line against `<magic> v<version>`.
+/// Version skew gets its own diagnostic: a matching magic at any other
+/// version ("caft-campaign-work v1" to a v2 reader) names the version
+/// mismatch and tells the peer which version this reader speaks, instead
+/// of the generic bad-magic error a corrupt line earns — a peer of another
+/// generation must be told to match, not to debug "corruption".
+void check_magic_line(const std::string& line, const char* magic,
+                      unsigned version = 1);
+/// Reads the magic line `<magic> v<version>` from `is` (check_magic_line
+/// rules) and positions the stream after it.
+void expect_magic(std::istream& is, const char* magic, unsigned version = 1);
 
 /// The spec lines every campaign document carries — `replays`, `seed`,
 /// `quantiles`, `theta-buckets`, `sampler` (kind + every distribution
@@ -147,9 +148,8 @@ struct CampaignWorkOrder {
   /// values its own scheduling run resolved, so the worker cannot drift.
   CampaignSpec spec;
   /// Summary-neutral execution knobs the worker honours (its private
-  /// thread/engine/wave policy — same fields as SessionOptions).
+  /// thread/wave policy — same fields as SessionOptions).
   std::size_t threads = 1;
-  caft::CampaignEngine engine = caft::CampaignEngine::kIncremental;
   std::size_t block = 1024;
   /// Determinism pins: the coordinator's 0-crash makespan and horizon. A
   /// worker whose re-scheduled values differ bit-for-bit refuses to run

@@ -1,5 +1,6 @@
 #include "api/session.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -138,15 +139,14 @@ void validate_campaign_spec(const CampaignSpec& spec) {
 /// identically on every side (the worker pins the horizon it passes).
 caft::CampaignOptions campaign_options(const CampaignSpec& spec,
                                        double schedule_horizon,
-                                       std::size_t threads, std::size_t block,
-                                       caft::CampaignEngine engine) {
+                                       std::size_t threads,
+                                       std::size_t block) {
   caft::CampaignOptions campaign;
   campaign.replays = spec.replays;
   campaign.seed = spec.seed;
   campaign.quantiles = spec.quantiles;
   campaign.threads = threads;
   campaign.block = block;
-  campaign.engine = engine;
   campaign.theta_bucket_width = spec.theta_bucket_width(schedule_horizon);
   campaign.target_ci_width = spec.target_ci_width;
   return campaign;
@@ -170,7 +170,7 @@ CampaignRun Session::evaluate_schedule(
   const auto sampler = spec.sampler.build(instance.proc_count());
   caft::CampaignOptions campaign =
       campaign_options(spec, run.result.schedule.horizon(), options_.threads,
-                       options_.block, options_.engine);
+                       options_.block);
   campaign.on_progress = options_.on_progress;
   campaign.prebuilt_engine = replay_template;
   run.theta_bucket_width = campaign.theta_bucket_width;
@@ -225,7 +225,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
 
   const double horizon = run.result.schedule.horizon();
   const caft::CampaignOptions campaign = campaign_options(
-      spec, horizon, exec.worker_threads, options_.block, options_.engine);
+      spec, horizon, exec.worker_threads, options_.block);
   run.theta_bucket_width = campaign.theta_bucket_width;
 
   // Work-order template shared by every block.
@@ -238,18 +238,19 @@ CampaignRun Session::evaluate_schedule_subprocess(
   order.spec.request.eps = run.result.eps;
   order.spec.request.model = run.result.schedule.model();
   order.threads = campaign.threads;
-  order.engine = campaign.engine;
   order.block = campaign.block;
   order.expect_makespan = run.result.makespan;
   order.expect_horizon = horizon;
 
-  // Contiguous blocks of the canonical scenario stream. The partition is
-  // invisible in the summary (any partition folds to the same stream); it
-  // only sets the retry/straggler granularity.
-  std::size_t chunk = exec.block_replays;
-  if (chunk == 0)
-    chunk = std::max<std::size_t>(
-        1, (spec.replays + exec.n_workers * 4 - 1) / (exec.n_workers * 4));
+  // Contiguous blocks of the canonical scenario stream, about 4 per
+  // worker and at most kMaxBlockReplays, so a straggler or retried block
+  // costs a fraction of the campaign and a large campaign's coordinator
+  // memory stays bounded. The partition is invisible in the summary (any
+  // partition folds to the same stream); it only sets the retry/straggler
+  // and early-stop granularity.
+  const std::size_t chunk = std::clamp<std::size_t>(
+      (spec.replays + exec.n_workers * 4 - 1) / (exec.n_workers * 4), 1,
+      kMaxBlockReplays);
   struct Block {
     std::size_t first;
     std::size_t count;
@@ -258,25 +259,25 @@ CampaignRun Session::evaluate_schedule_subprocess(
   for (std::size_t first = 0; first < spec.replays; first += chunk)
     blocks.push_back({first, std::min(chunk, spec.replays - first)});
 
-  // Streaming fold state (PR 7). Completed partials enter a reorder window
-  // keyed by block index; whenever the window holds the fold frontier
+  // Streaming fold state. Completed partials enter a window of buffered
+  // blocks keyed by block index; whenever the window holds the fold frontier
   // (next_to_fold), that block folds into the single accumulator and is
   // freed. Claims are gated on the same frontier — a dispatcher may only
   // claim block b while b < next_to_fold + window — so at any instant the
   // blocks past the frontier (in a worker, in the window, or both) number
-  // at most `window`: coordinator memory is O(window × block), never
-  // O(replays). Deadlock-free because claims are monotone and a claimed
-  // block either folds (advancing the frontier and waking waiters) or
-  // fails the campaign (also waking waiters): the frontier block is always
-  // claimed and always progressing.
+  // at most `window`: coordinator memory is at most window ×
+  // kMaxBlockReplays records, never O(replays). Deadlock-free
+  // because claims are monotone and a claimed block either folds
+  // (advancing the frontier and waking waiters) or fails the campaign
+  // (also waking waiters): the frontier block is always claimed and
+  // always progressing.
   //
   // The fold itself is byte-identical to the buffered coordinator and to
   // an in-process run by construction: records still fold in canonical
-  // scenario order, only *when* each block folds changed.
-  const std::size_t window =
-      exec.reorder_window > 0
-          ? exec.reorder_window
-          : std::max<std::size_t>(2 * exec.n_workers, 4);
+  // scenario order, only *when* each block folds changed. Twice the worker
+  // count lets a straggler fall a whole round behind without idling the
+  // other dispatchers.
+  const std::size_t window = std::max<std::size_t>(2 * exec.n_workers, 4);
   const auto sampler = spec.sampler.build(instance.proc_count());
   caft::CampaignAccumulator accumulator(run.result.schedule.eps(),
                                         spec.quantiles);
@@ -313,7 +314,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
 
   // Claim the next block index, or size() when the dispatcher should exit
   // (campaign failed, early stop, or no blocks left). Blocks until the
-  // claim fits the reorder window.
+  // claim fits the fold window.
   const auto claim = [&]() -> std::size_t {
     std::unique_lock<std::mutex> lock(fold_mutex);
     fold_cv.wait(lock, [&] {
@@ -325,7 +326,7 @@ CampaignRun Session::evaluate_schedule_subprocess(
     return next_to_claim++;
   };
 
-  // Hand a completed block to the reorder window and drain the fold
+  // Hand a completed block to the fold window and drain the fold
   // frontier. Folding under the mutex is deliberate: the accumulator is a
   // strictly sequential structure, and a fold step is microseconds next to
   // the subprocess replay that produced the block.
@@ -539,8 +540,8 @@ void run_campaign_worker(std::istream& in, std::ostream& out) {
   const auto sampler = order.spec.sampler.build(instance.proc_count());
   // The coordinator's own options builder — horizon is pinned above, so
   // the θ-bucket width matches the coordinator's bit-for-bit.
-  const caft::CampaignOptions campaign = campaign_options(
-      order.spec, horizon, order.threads, order.block, order.engine);
+  const caft::CampaignOptions campaign =
+      campaign_options(order.spec, horizon, order.threads, order.block);
 
   // Stream the partial document: header up front, each completed wave's
   // records the moment they exist, the mergeable fold state (`counts`) and

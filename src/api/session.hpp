@@ -2,8 +2,8 @@
 /// `ftsched::Session` — the campaign service facade of the library.
 ///
 /// A Session owns the execution policy of fault-injection campaigns: the
-/// worker-thread budget, the replay engine choice, the wave size and where
-/// campaigns run (this process or worker processes).
+/// worker-thread budget, the wave size and where campaigns run (this
+/// process or worker processes).
 /// Consumers describe *what* to evaluate declaratively — a `CampaignSpec`
 /// names registered algorithms, a sampler distribution (`SamplerSpec`, plain
 /// data so specs can cross process boundaries when campaigns scale out) and
@@ -19,8 +19,8 @@
 /// these two calls.
 ///
 /// Determinism contract (inherited from campaign/run_campaign): a report is
-/// a pure function of (instance, spec) — thread count, engine, block size
-/// and execution mode never change a summary. `evaluate` is therefore
+/// a pure function of (instance, spec) — thread count, block size and
+/// execution mode never change a summary. `evaluate` is therefore
 /// bit-identical to hand-rolling registry->schedule + run_campaign with the
 /// same seeds (tests/test_api.cpp), and the coordinator's canonical-order
 /// fold makes subprocess reports *byte-identical* to in-process ones.
@@ -104,7 +104,7 @@ struct CampaignSpec {
   std::vector<double> quantiles = {0.5, 0.9, 0.99};
   /// θ-quantization: split each schedule's horizon into this many buckets
   /// and snap every crash time to its bucket midpoint (0 = off, bit-exact
-  /// replays). Works with either engine.
+  /// replays).
   std::size_t theta_buckets = 0;
   /// Early stopping: stop once the Wilson 95% interval around the folded
   /// prefix's success rate is at most this wide (0 = off, run all
@@ -137,6 +137,13 @@ struct CampaignSpec {
 /// unparseable output).
 inline constexpr std::size_t kWorkerAttempts = 3;
 
+/// Most replays in one subprocess scenario block. Blocks aim at about 4
+/// per worker; the cap keeps coordinator memory (at most max(2 × workers,
+/// 4) blocks of records past the fold frontier) and the early-stop
+/// granularity O(workers), never O(replays). A block still amortizes its
+/// worker spawn: about 3 ms against 10,000 replays.
+inline constexpr std::size_t kMaxBlockReplays = 10000;
+
 /// How a Session physically executes campaigns: in this process (the
 /// default) or fanned out across worker *processes*. Like every other
 /// execution knob, the mode can never change a summary: the subprocess
@@ -157,18 +164,6 @@ struct ExecutionPolicy {
   /// Threads *each worker process* uses; keep n_workers × worker_threads
   /// near the machine's core count.
   std::size_t worker_threads = 1;
-  /// Replays per worker block; 0 = auto (aims at ~4 blocks per worker, so
-  /// a straggler or retried block costs a fraction of the campaign).
-  std::size_t block_replays = 0;
-  /// Reorder window of the coordinator's streaming fold (PR 7): at most
-  /// this many blocks may be past the fold frontier at once — claimed,
-  /// completed-and-buffered, or both — so coordinator memory is
-  /// O(reorder_window × block_replays) records, never O(replays). Larger
-  /// windows tolerate slower stragglers without idling dispatchers; 1
-  /// serializes the fold (one block in flight at a time). 0 = auto
-  /// (max(2 × n_workers, 4)). Can never change a summary — only when each
-  /// buffered block folds.
-  std::size_t reorder_window = 0;
   /// Worker program: anything accepting `--worker` and speaking the
   /// campaign wire protocol on stdin/stdout — normally the campaign_cli
   /// binary. Required in subprocess mode.
@@ -190,7 +185,6 @@ struct ExecutionPolicy {
 struct SessionOptions {
   /// Worker threads; 0 = default_thread_count() (CAFT_THREADS env).
   std::size_t threads = 0;
-  caft::CampaignEngine engine = caft::CampaignEngine::kIncremental;
   /// Replays simulated per parallel wave; bounds peak memory.
   std::size_t block = 1024;
   /// Where campaigns run: this process or a pool of worker processes.

@@ -141,7 +141,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   // same results, by the engine's purity contract.
   const ReplayEngine* engine = options.prebuilt_engine;
   std::unique_ptr<ReplayEngine> owned_engine;
-  if (engine == nullptr && options.engine == CampaignEngine::kIncremental) {
+  if (engine == nullptr) {
     owned_engine = std::make_unique<ReplayEngine>(schedule, costs);
     engine = owned_engine.get();
   }
@@ -222,8 +222,8 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
     };
 
     // Scenarios are drawn sequentially in global replay order, each from
-    // its own split stream: neither the thread schedule, the block size nor
-    // the engine can influence any draw. Each row is checked as a
+    // its own split stream: neither the thread schedule nor the block size
+    // can influence any draw. Each row is checked as a
     // CrashScenario would check it; θ-quantization then snaps it (a snap
     // keeps valid times valid) before anything else sees it.
     for (std::size_t i = 0; i < wave; ++i) {
@@ -307,15 +307,8 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
       for (std::size_t k = first_slot; k < misses.size(); k += workers) {
         const std::uint32_t g = misses[k];
         scenario.assign(times.data() + reps[g] * m);
-        // Branch instead of a ternary: the engine path returns a reference
-        // (a ternary mixing it with the naive prvalue would force a copy).
-        if (engine != nullptr)
-          group_records[g] = to_record(engine->replay(scenario, scratch),
-                                       scenario.failed_count());
-        else
-          group_records[g] =
-              to_record(simulate_crashes(schedule, costs, scenario),
-                        scenario.failed_count());
+        group_records[g] = to_record(engine->replay(scenario, scratch),
+                                     scenario.failed_count());
       }
     };
     if (workers == 1) {
@@ -384,7 +377,7 @@ void run_replay_range(const Schedule& schedule, const CostModel& costs,
   gathered.memo_hits = memo_hits;
   gathered.memo_evictions = memo_evictions;
   gathered.memo_entries = memo.size();
-  if (engine != nullptr) gathered.snapshots = engine->snapshot_count();
+  gathered.snapshots = engine->snapshot_count();
   // `done`, not `count`: an early-stopped campaign executed (and folded)
   // only the waves up to its stopping point.
   gathered.replays = done;

@@ -12,9 +12,10 @@
 /// Determinism contract (same as run_experiment): every replay owns a
 /// pre-split Rng stream, drawn from the master stream in replay order, and
 /// the fold also happens in replay order — so the summary is bit-for-bit
-/// identical for 1 thread and N threads, for any block size, and for either
-/// replay engine (the incremental engine is replay-for-replay bit-identical
-/// to the naive one; see sim/replay_engine.hpp). θ-quantization
+/// identical for 1 thread and N threads and for any block size. Every
+/// replay runs through the prefix-cached ReplayEngine, which is
+/// replay-for-replay bit-identical to simulate_crashes (see
+/// sim/replay_engine.hpp). θ-quantization
 /// (CampaignOptions::theta_bucket_width) is the one knob that changes the
 /// summary — deterministically, never as a function of threads. Replays are
 /// simulated in bounded blocks, so memory stays O(block + threads), not
@@ -25,7 +26,7 @@
 /// pass over an open-addressing hash table keyed on the row's bytes; only
 /// the distinct groups are sorted, by earliest crash time and then by the
 /// crash-time vector, so consecutive replays branch from nearby prefix
-/// snapshots (maximizing cache reuse in the incremental engine). Each group
+/// snapshots (maximizing the engine's prefix reuse). Each group
 /// is replayed once. A record memo owned by the executor answers groups
 /// already seen in earlier waves. Results are still folded in replay
 /// order — execution order and memo hits are unobservable. A steady-state
@@ -46,13 +47,6 @@
 namespace caft {
 
 class ReplayEngine;  // sim/replay_engine.hpp (CampaignOptions hook below)
-
-/// Which replay implementation executes the campaign. Both produce
-/// bit-for-bit identical summaries; kIncremental is the fast path.
-enum class CampaignEngine {
-  kNaive,        ///< simulate_crashes rebuilds and replays from t = 0
-  kIncremental,  ///< prefix-cached ReplayEngine (sim/replay_engine.hpp)
-};
 
 /// Live progress of a campaign, delivered after each completed wave (or,
 /// for the subprocess backend, each folded block). Observability only:
@@ -91,14 +85,12 @@ struct CampaignOptions {
   std::size_t block = 1024;
   /// Latency quantiles to estimate, each in (0, 1).
   std::vector<double> quantiles = {0.5, 0.9, 0.99};
-  /// Replay implementation; the summary does not depend on it.
-  CampaignEngine engine = CampaignEngine::kIncremental;
   /// θ-quantization bucket width; 0 (the default) keeps every replay
   /// bit-exact. With a positive width, each drawn scenario is snapped
   /// before it is grouped or replayed: every finite positive crash time
   /// moves to the midpoint of its bucket. Summaries drift by at most
-  /// width/2 per crash time but stay deterministic, thread-count
-  /// independent and identical for either engine.
+  /// width/2 per crash time but stay deterministic and thread-count
+  /// independent.
   double theta_bucket_width = 0.0;
   /// Progress callback, invoked after each completed wave from the thread
   /// that runs the campaign (never from worker threads). Purely
@@ -108,16 +100,15 @@ struct CampaignOptions {
   /// around the folded prefix's success rate is at most this wide (0 = off,
   /// run the full budget). Checked at wave boundaries after the wave folds,
   /// so the stopping point — and therefore the summary — is a deterministic
-  /// function of (seed, block): still independent of threads and engine,
-  /// but `block` joins the summary-relevant knobs whenever this is set.
-  /// Honoured by run_campaign only; run_campaign_block replays its exact
-  /// range regardless (a block is a fixed slice of someone else's
-  /// campaign).
+  /// function of (seed, block): still independent of threads, but `block`
+  /// joins the summary-relevant knobs whenever this is set. Honoured by
+  /// run_campaign only; run_campaign_block runs its exact range regardless
+  /// (a block is a fixed slice of someone else's campaign).
   double target_ci_width = 0.0;
   /// Replay-template reuse hook for services that cache ReplayEngines
   /// across campaigns (the campaign server): a non-null engine — which MUST
   /// have been built from this campaign's schedule/costs — is used instead
-  /// of constructing one, overriding `engine`. Summary-neutral by the
+  /// of constructing one. Summary-neutral by the
   /// engine's own contract: replays are pure functions of (schedule, costs,
   /// scenario), and the engine is const-shared across worker threads
   /// exactly as an owned one would be. The caller keeps it alive for the
@@ -143,10 +134,10 @@ struct CampaignTelemetry {
   std::size_t workers = 0;       ///< worker threads or subprocess slots
   std::size_t worker_retries = 0;  ///< subprocess blocks retried (0 in-proc)
   double wall_seconds = 0.0;     ///< campaign wall time (steady_clock)
-  /// Most blocks the subprocess coordinator's reorder window ever held at
-  /// once (PR 7) — the streaming fold's actual peak, bounded by
-  /// ExecutionPolicy::reorder_window. 0 for the in-process backend, whose
-  /// fold is wave-by-wave and never buffers.
+  /// Most blocks the subprocess coordinator's fold buffer ever held at
+  /// once — the streaming fold's actual peak, bounded by max(2 × workers,
+  /// 4). 0 for the in-process backend, whose fold is wave-by-wave and
+  /// never buffers.
   std::size_t fold_window_peak = 0;
 };
 
@@ -161,8 +152,8 @@ void publish_campaign_metrics(const CampaignTelemetry& telemetry);
 /// Compact outcome of one replay: exactly what the accumulator folds,
 /// nothing else (the full CrashResult with its per-replica matrices never
 /// outlives its worker). Records are a pure function of (schedule, costs,
-/// scenario, θ-quantization width) — never of threads, block size, engine
-/// or memo hits — which is what lets campaign blocks be computed in
+/// scenario, θ-quantization width) — never of threads, block size or memo
+/// hits — which is what lets campaign blocks be computed in
 /// other processes and folded back bit-identically.
 struct ReplayRecord {
   bool success = false;

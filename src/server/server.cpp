@@ -120,9 +120,8 @@ void CampaignServer::handle(const CampaignRequest& request,
         cache_.schedule(instance, content_hash, algorithm, spec.request);
     ScheduleResult result = cached->result;  // the run carries its own copy
 
-    std::shared_ptr<const ContentCache::CachedTemplate> replay_template;
-    if (options_.session.engine == caft::CampaignEngine::kIncremental)
-      replay_template = cache_.replay_template(cached);
+    const std::shared_ptr<const ContentCache::CachedTemplate> replay_template =
+        cache_.replay_template(cached);
 
     SessionOptions session_options = options_.session;
     if (request.progress) {
@@ -139,7 +138,7 @@ void CampaignServer::handle(const CampaignRequest& request,
     const Session session(session_options);
     report.runs.push_back(session.evaluate_schedule(
         *instance, std::move(result), spec,
-        replay_template ? replay_template->engine.get() : nullptr));
+        replay_template->engine.get()));
   }
   write_campaign_report(out, report);
   out.flush();

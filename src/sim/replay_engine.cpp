@@ -625,10 +625,14 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
   if (best == kNone32) {
     // Strict committed order stuck (circular wait through rerouted inputs —
     // possible only under crashes): any prerequisite-ready op may jump the
-    // queue; the resource clocks still serialize everything.
+    // queue; the resource clocks still serialize everything. The same
+    // pass notes whether anything is still pending, so the replay's last
+    // step (nothing pending) costs one scan, not two.
     ++s.counters_.relaxation_scans;
+    bool pending = false;
     for (std::uint32_t op = 0; op < op_count_; ++op) {
       if (s.state[op] != kPending) continue;
+      pending = true;
       double ready = 0.0;
       if (!runnable(s, op, ready)) continue;
       if (ready < best_start || (ready == best_start && op < best)) {
@@ -636,27 +640,22 @@ bool ReplayEngine::commit_next(Scratch& s, const CrashScenario& scenario,
         best = op;
       }
     }
-    if (best != kNone32) {
-      ++s.order_relaxations;
-      // A queue-jumping commit moves resource clocks under ops that never
-      // headed a queue — no targeted invalidation covers that, so refresh
-      // everything next step (relaxations are rare: zero fault-free).
-      // The jumping op is never a hand-off: a ready hand-off sits in the
-      // heap and would have been selected above.
-      s.all_dirty = true;
-    }
-  }
-  if (best == kNone32) {
-    // Nothing can ever run again: remaining pending work is lost.
-    for (std::uint32_t op = 0; op < op_count_; ++op)
-      if (s.state[op] == kPending) {
+    if (best == kNone32) {
+      // Nothing can ever run again: remaining pending work is lost.
+      if (pending) {
         s.order_deadlock = true;
-        break;
+        for (std::uint32_t op = 0; op < op_count_; ++op)
+          if (s.state[op] == kPending) s.state[op] = kDead;
       }
-    if (s.order_deadlock)
-      for (std::uint32_t op = 0; op < op_count_; ++op)
-        if (s.state[op] == kPending) s.state[op] = kDead;
-    return false;
+      return false;
+    }
+    ++s.order_relaxations;
+    // A queue-jumping commit moves resource clocks under ops that never
+    // headed a queue — no targeted invalidation covers that, so refresh
+    // everything next step (relaxations are rare: zero fault-free).
+    // The jumping op is never a hand-off: a ready hand-off sits in the
+    // heap and would have been selected above.
+    s.all_dirty = true;
   }
 
   ++s.counters_.events;

@@ -64,8 +64,8 @@
 /// `simulate_crashes(schedule, costs, scenario)` — same event choices, same
 /// IEEE arithmetic, same relaxation/deadlock accounting. The differential
 /// suite tests/test_replay_equivalence.cpp asserts this over randomized
-/// (instance, schedule, scenario) triples; the campaign executor relies on
-/// it to make `--engine naive` and `--engine incremental` interchangeable.
+/// (instance, schedule, scenario) triples; every campaign relies on it, so
+/// a campaign's records equal the simulate_crashes reference's.
 ///
 /// Thread safety: `replay` is const and touches only the template and the
 /// caller's Scratch, so one engine may serve any number of threads as long

@@ -110,6 +110,22 @@ void expect_summaries_identical(const CampaignSummary& a,
 
 // ---------------------------------------------------------------- registry
 
+/// The simulate_crashes reference (tests/helpers.hpp) for `run`'s
+/// schedule under `spec`: what the Session's campaign must reproduce.
+CampaignSummary reference_summary(const Instance& instance,
+                                  const CampaignRun& run,
+                                  const CampaignSpec& spec) {
+  const Schedule& schedule = run.result.schedule;
+  caft::CampaignOptions options;
+  options.replays = spec.replays;
+  options.seed = spec.seed;
+  options.quantiles = spec.quantiles;
+  options.theta_bucket_width = spec.theta_bucket_width(schedule.horizon());
+  return caft::test::reference_summary(
+      schedule, instance.costs(), *spec.sampler.build(instance.proc_count()),
+      options);
+}
+
 TEST(Registry, EnumeratesBuiltinsInCanonicalOrder) {
   const auto names = SchedulerRegistry::global().names();
   ASSERT_GE(names.size(), kBuiltins.size());
@@ -469,27 +485,28 @@ TEST(SessionApi, ReportsAreExecutionPolicyIndependent) {
   spec.sampler = SamplerSpec::window(1, 0.0, 500.0);
   spec.replays = 300;
 
-  SessionOptions one_thread_naive;
-  one_thread_naive.threads = 1;
-  one_thread_naive.engine = caft::CampaignEngine::kNaive;
+  SessionOptions one_thread;
+  one_thread.threads = 1;
   SessionOptions four_threads;
   four_threads.threads = 4;
   SessionOptions two_threads_small_waves;
   two_threads_small_waves.threads = 2;
   two_threads_small_waves.block = 64;
 
-  const CampaignReport a =
-      Session(one_thread_naive).evaluate(instance, spec);
+  const CampaignReport a = Session(one_thread).evaluate(instance, spec);
   const CampaignReport b = Session(four_threads).evaluate(instance, spec);
   const CampaignReport c =
       Session(two_threads_small_waves).evaluate(instance, spec);
+  expect_summaries_identical(a.runs[0].summary,
+                             reference_summary(instance, a.runs[0], spec));
   expect_summaries_identical(a.runs[0].summary, b.runs[0].summary);
   expect_summaries_identical(a.runs[0].summary, c.runs[0].summary);
 }
 
-TEST(SessionApi, ThetaBucketsWorkUnderEitherEngine) {
-  // Quantization snaps scenarios before any engine sees them, so the naive
-  // oracle and the incremental engine agree on bucketed campaigns too.
+TEST(SessionApi, ThetaBucketedReportMatchesReference) {
+  // Quantization snaps scenarios before the engine sees them, so a
+  // bucketed report equals the simulate_crashes reference over the same
+  // draws snapped by hand.
   const Instance instance = random_instance(41, 8, 1.0, 1);
   CampaignSpec spec;
   spec.algorithms = {"caft"};
@@ -497,13 +514,13 @@ TEST(SessionApi, ThetaBucketsWorkUnderEitherEngine) {
   spec.replays = 200;
   spec.theta_buckets = 16;
 
-  SessionOptions naive;
-  naive.engine = caft::CampaignEngine::kNaive;
-  const CampaignReport a = Session(naive).evaluate(instance, spec);
-  const CampaignReport b = Session().evaluate(instance, spec);
-  EXPECT_GT(a.runs[0].theta_bucket_width, 0.0);
-  EXPECT_EQ(a.runs[0].theta_bucket_width, b.runs[0].theta_bucket_width);
-  expect_summaries_identical(a.runs[0].summary, b.runs[0].summary);
+  const CampaignReport report = Session().evaluate(instance, spec);
+  const CampaignRun& run = report.runs[0];
+  EXPECT_GT(run.theta_bucket_width, 0.0);
+  EXPECT_EQ(run.theta_bucket_width,
+            spec.theta_bucket_width(run.result.schedule.horizon()));
+  expect_summaries_identical(run.summary,
+                             reference_summary(instance, run, spec));
 }
 
 TEST(SessionApi, ThetaBucketWidthRejectsDegenerateHorizons) {

@@ -41,7 +41,6 @@ CampaignWorkOrder sample_order() {
   order.spec.request.batch_size = 17;
   order.spec.request.minimize_start_time = false;
   order.threads = 3;
-  order.engine = caft::CampaignEngine::kNaive;
   order.block = 512;
   order.expect_makespan = 123.4567891011;
   order.expect_horizon = 200.000000000001;
@@ -89,7 +88,6 @@ TEST(CampaignWire, WorkOrderRoundTripsBitExactly) {
   EXPECT_EQ(back.spec.request.batch_size, 17u);
   EXPECT_EQ(back.spec.request.minimize_start_time, false);
   EXPECT_EQ(back.threads, order.threads);
-  EXPECT_EQ(back.engine, order.engine);
   EXPECT_EQ(back.block, order.block);
   EXPECT_EQ(back.expect_makespan, order.expect_makespan);  // bit-exact
   EXPECT_EQ(back.expect_horizon, order.expect_horizon);
@@ -175,7 +173,7 @@ TEST(CampaignWire, WorkOrderBoundsExecThreadsAndBlock) {
     std::string doc = to_text(sample_order());
     const std::size_t at = doc.find("exec ");
     doc.replace(at, doc.find('\n', at) - at,
-                "exec 1 incremental 18446744073709551615");
+                "exec 1 18446744073709551615");
     std::istringstream is(doc);
     EXPECT_THROW((void)read_campaign_work_order(is), CheckError);
   }
@@ -227,22 +225,21 @@ TEST(CampaignWire, WorkOrderNeverAllocatesFromAPeerCount) {
 }
 
 TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
-  // A v2 document is not "corruption": the reader must tell the peer it
-  // speaks v1 so a future writer is told to downgrade, not to debug bytes.
-  const std::string good = to_text(sample_order());
-  std::string skewed = good;
-  skewed.replace(0, skewed.find('\n'), "caft-campaign-work v2");
-  {
-    std::istringstream is(skewed);
-    try {
-      (void)read_campaign_work_order(is);
-      FAIL() << "expected CheckError";
-    } catch (const CheckError& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find("unsupported document version"), std::string::npos);
-      EXPECT_NE(what.find("caft-campaign-work v2"), std::string::npos);
-      EXPECT_NE(what.find("speaks v1"), std::string::npos);
-    }
+  // A work order of another generation is not "corruption": the reader
+  // must tell the peer it speaks v2, so a mixed build is told to match
+  // versions, not to debug bytes. A v1 order, whose `exec` line still
+  // carries an engine token, is refused at the magic line — before any
+  // field is parsed.
+  std::string skewed =
+      with_line(to_text(sample_order()), "exec", "exec 3 incremental 512");
+  for (const char* version : {"v1", "v3"}) {
+    skewed.replace(0, skewed.find('\n'),
+                   std::string("caft-campaign-work ") + version);
+    const std::string what = work_order_error(skewed);
+    EXPECT_NE(what.find("unsupported document version"), std::string::npos);
+    EXPECT_NE(what.find(std::string("caft-campaign-work ") + version),
+              std::string::npos);
+    EXPECT_NE(what.find("speaks v2"), std::string::npos);
   }
   {  // a *wrong* magic still reads as corruption, not as version skew
     std::istringstream is("caft-campaign-partial v1\nend\n");
@@ -262,6 +259,8 @@ TEST(CampaignWire, ReadersNameVersionSkewExplicitly) {
   EXPECT_THROW(wire::check_magic_line("caft-x v10", "caft-x"), CheckError);
   EXPECT_THROW(wire::check_magic_line("caft-x v1 ", "caft-x"), CheckError);
   EXPECT_THROW(wire::check_magic_line("caft-y v1", "caft-x"), CheckError);
+  EXPECT_NO_THROW(wire::check_magic_line("caft-x v2", "caft-x", 2));
+  EXPECT_THROW(wire::check_magic_line("caft-x v1", "caft-x", 2), CheckError);
 }
 
 TEST(CampaignWire, PartialReaderRejectsVersionSkew) {

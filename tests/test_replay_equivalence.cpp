@@ -4,8 +4,10 @@
 // distributions — every field of the engine's CrashResult must be
 // *byte-identical* to the naive simulate_crashes path: per-task/per-replica
 // finish times (exact doubles, no tolerance), success flags, delivered
-// message counts, order-relaxation accounting. The campaign executor's
-// `--engine` interchangeability rests entirely on this property.
+// message counts, order-relaxation accounting. Every campaign replays
+// through the engine, so campaign results rest entirely on this property;
+// the campaign-level cases check whole record streams against the
+// simulate_crashes reference of tests/helpers.hpp.
 #include "sim/replay_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -393,25 +395,21 @@ TEST(ReplayEquivalence, RepeatsAcrossEnginesStayIdentical) {
 
 // ------------------------------------------------ campaign-level identity
 
-TEST(ReplayEquivalence, CampaignSummariesIdenticalAcrossEngines) {
+TEST(ReplayEquivalence, CampaignSummariesMatchReference) {
   const Scenario s = test::random_setup(17, 8, 1.0);
   const Schedule schedule = schedule_with("caft", s, 1, CommModelKind::kOnePort);
   const UniformKSampler uniform(8, 1);
   const CrashWindowSampler window(8, 2, 0.0, schedule.horizon());
   for (const ScenarioSampler* sampler :
        std::vector<const ScenarioSampler*>{&uniform, &window}) {
-    CampaignOptions naive_options;
-    naive_options.replays = 600;
-    naive_options.threads = 2;
-    naive_options.engine = CampaignEngine::kNaive;
-    CampaignOptions incr_options = naive_options;
-    incr_options.engine = CampaignEngine::kIncremental;
-    incr_options.threads = 3;  // engine identity must survive resharding
-    incr_options.block = 128;
+    CampaignOptions options;
+    options.replays = 600;
+    options.threads = 3;  // identity must survive resharding
+    options.block = 128;
     const CampaignSummary a =
-        run_campaign(schedule, *s.costs, *sampler, naive_options);
+        test::reference_summary(schedule, *s.costs, *sampler, options);
     const CampaignSummary b =
-        run_campaign(schedule, *s.costs, *sampler, incr_options);
+        run_campaign(schedule, *s.costs, *sampler, options);
     EXPECT_EQ(a.replays, b.replays);
     EXPECT_EQ(a.successes, b.successes);
     EXPECT_EQ(a.replays_within_eps, b.replays_within_eps);
@@ -428,6 +426,42 @@ TEST(ReplayEquivalence, CampaignSummariesIdenticalAcrossEngines) {
     for (std::size_t i = 0; i < a.latency_quantiles.size(); ++i)
       EXPECT_EQ(a.latency_quantiles[i].value, b.latency_quantiles[i].value);
   }
+}
+
+TEST(ReplayEquivalence, CrashWindowCampaignAtScaleMatchesReference) {
+  // A whole campaign at scale: a 300-task random DAG on 32 processors
+  // (1,088 resources), CAFT with ε = 2, and 200 crash-window replays with
+  // three θ crashes spread over the whole schedule, so the executor's
+  // engine reaches targeted death invalidation and the ready hand-off
+  // heap. Record for record against the simulate_crashes reference.
+  RandomDagParams dag;
+  dag.min_tasks = 300;
+  dag.max_tasks = 300;
+  const Scenario s = test::random_setup(42, 32, 1.0, dag);
+  const Schedule schedule = schedule_with("caft", s, 2, CommModelKind::kOnePort);
+  const CrashWindowSampler sampler(32, 3, 0.0, schedule.horizon());
+  CampaignOptions options;
+  options.threads = 2;
+  options.block = 64;
+  const std::vector<ReplayRecord> reference = test::reference_records(
+      schedule, *s.costs, sampler, options.seed, 0, 200);
+  const std::vector<ReplayRecord> records =
+      run_campaign_block(schedule, *s.costs, sampler, options, 0, 200);
+  ASSERT_EQ(reference.size(), records.size());
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE("replay " + std::to_string(i));
+    ASSERT_EQ(reference[i].success, records[i].success);
+    ASSERT_EQ(reference[i].order_deadlock, records[i].order_deadlock);
+    ASSERT_EQ(reference[i].latency, records[i].latency);
+    ASSERT_EQ(reference[i].delivered_messages, records[i].delivered_messages);
+    ASSERT_EQ(reference[i].order_relaxations, records[i].order_relaxations);
+    ASSERT_EQ(reference[i].failed_count, records[i].failed_count);
+    if (!records[i].success) ++failed;
+  }
+  // Three crashes against ε = 2: some replay must lose every replica of a
+  // task, so the death paths are reached.
+  EXPECT_GT(failed, 0u);
 }
 
 TEST(ReplayEquivalence, EngineRejectsMismatchedScenario) {

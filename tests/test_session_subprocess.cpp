@@ -17,6 +17,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -401,7 +402,7 @@ TEST(SessionSubprocess, StreamedFoldBoundedByReorderWindow) {
 
   // Delaying wrapper: the first invocation to claim the marker sleeps half
   // a second, so later blocks complete first and must buffer in the
-  // reorder window until the straggler folds — the exact pattern that made
+  // fold window until the straggler folds — the exact pattern that made
   // the old coordinator's memory O(replays).
   const caft::ScratchDir dir("ftsched-subproc");
   const std::string script = write_script(
@@ -412,9 +413,9 @@ TEST(SessionSubprocess, StreamedFoldBoundedByReorderWindow) {
       "exec \"" + cli + "\" \"$@\"\n");
 
   SessionOptions options;
+  // 4 workers: about 4 blocks each (16 blocks of 38 replays) against a
+  // window of max(2 × 4, 4) = 8 blocks, so the bound bites.
   options.exec = ExecutionPolicy::subprocess(script, 4);
-  options.exec.block_replays = 30;    // 20 blocks
-  options.exec.reorder_window = 3;    // far fewer than blocks
   const Session session(options);
 
   // The peak-window gauge is the coordinator's own measurement of how many
@@ -428,15 +429,15 @@ TEST(SessionSubprocess, StreamedFoldBoundedByReorderWindow) {
   // Byte-identity survives the straggler-induced reordering...
   expect_summaries_identical(reference, report.runs[0].summary);
   // ...and coordinator memory stayed bounded by the window, not by the
-  // campaign: at most reorder_window blocks buffered, ever.
+  // campaign: at most 8 blocks buffered, ever.
   const double peak = metrics.gauge_value("campaign.fold.window_peak");
   EXPECT_GE(peak, 1.0);
-  EXPECT_LE(peak, 3.0);
+  EXPECT_LE(peak, 8.0);
   EXPECT_EQ(report.runs[0].telemetry.fold_window_peak,
             static_cast<std::size_t>(peak));
   // The straggler forced at least one block to wait for the fold frontier.
   EXPECT_GE(metrics.counter_value("campaign.fold.blocks_buffered"), 1u);
-  EXPECT_EQ(report.runs[0].telemetry.blocks, 20u);
+  EXPECT_EQ(report.runs[0].telemetry.blocks, 16u);
 }
 
 TEST(SessionSubprocess, OutOfOrderCompletionStaysIdenticalAcrossWorkers) {
@@ -456,7 +457,9 @@ TEST(SessionSubprocess, OutOfOrderCompletionStaysIdenticalAcrossWorkers) {
   // Jittering wrapper: each worker invocation sleeps 0–0.2 s depending on
   // its pid, so block completion order is scrambled differently on every
   // run — the streamed fold must reproduce the canonical summary from any
-  // completion order, at any worker count, with a tight window.
+  // completion order, at any worker count. About 4 blocks per worker
+  // always outnumber the max(2 × workers, 4) window once there are two or
+  // more workers.
   const caft::ScratchDir dir("ftsched-subproc");
   const std::string script = write_script(dir, "jitter_worker.sh",
                                           "sleep 0.$(( $$ % 3 ))\n"
@@ -465,33 +468,13 @@ TEST(SessionSubprocess, OutOfOrderCompletionStaysIdenticalAcrossWorkers) {
   for (const std::size_t workers : {1u, 2u, 4u}) {
     SessionOptions options;
     options.exec = ExecutionPolicy::subprocess(script, workers);
-    options.exec.block_replays = 50;  // 8 blocks
-    options.exec.reorder_window = 2;
     const Session session(options);
     const CampaignReport report = session.evaluate(instance, spec);
     expect_summaries_identical(reference, report.runs[0].summary);
-    EXPECT_LE(report.runs[0].telemetry.fold_window_peak, 2u);
+    EXPECT_EQ(report.runs[0].telemetry.blocks, 4 * workers);
+    EXPECT_LE(report.runs[0].telemetry.fold_window_peak,
+              std::max<std::size_t>(2 * workers, 4));
   }
-}
-
-TEST(SessionSubprocess, ReorderWindowOfOneSerializesTheFold) {
-  const std::string cli = cli_path();
-  if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
-
-  const Instance instance = random_instance(313, 8, 1.0, 1);
-  const CampaignSpec spec = lifetime_spec(200);
-  const Session in_process{};
-  const CampaignSummary reference =
-      in_process.evaluate(instance, spec).runs[0].summary;
-
-  SessionOptions options;
-  options.exec = ExecutionPolicy::subprocess(cli, 4);
-  options.exec.block_replays = 25;  // 8 blocks
-  options.exec.reorder_window = 1;  // degenerate: one block in flight
-  const Session session(options);
-  const CampaignReport report = session.evaluate(instance, spec);
-  expect_summaries_identical(reference, report.runs[0].summary);
-  EXPECT_EQ(report.runs[0].telemetry.fold_window_peak, 1u);
 }
 
 TEST(SessionSubprocess, EarlyStopFoldsAContiguousCanonicalPrefix) {
@@ -504,21 +487,82 @@ TEST(SessionSubprocess, EarlyStopFoldsAContiguousCanonicalPrefix) {
 
   SessionOptions options;
   options.exec = ExecutionPolicy::subprocess(cli, 2);
-  options.exec.block_replays = 50;
   const Session session(options);
   const CampaignRun run = session.evaluate(instance, spec).runs[0];
 
-  // Stopped early, on a block boundary (claims are whole blocks)...
+  // Stopped early, on a block boundary (claims are whole blocks of
+  // 2000 / (4 × 2) = 250 replays)...
   const std::size_t folded = run.summary.replays;
   EXPECT_LT(folded, spec.replays);
-  EXPECT_GE(folded, 50u);
-  EXPECT_EQ(folded % 50, 0u);
+  EXPECT_GE(folded, 250u);
+  EXPECT_EQ(folded % 250, 0u);
   EXPECT_EQ(run.telemetry.replays, folded);
   // ...and the folded set is the contiguous canonical prefix [0, folded):
   // an in-process campaign of exactly that many replays is byte-identical.
   // (This is what makes early stopping a *truncated* campaign rather than
   // a subsampled one.)
   CampaignSpec prefix = lifetime_spec(folded);
+  const CampaignSummary reference =
+      Session{}.evaluate(instance, prefix).runs[0].summary;
+  expect_summaries_identical(reference, run.summary);
+}
+
+TEST(SessionSubprocess, LargeCampaignBlocksAreCappedAndWindowBounded) {
+  const std::string cli = cli_path();
+  if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
+
+  // Ten and a bit capped blocks at 2 workers: the uncapped size,
+  // replays / (4 × 2), would be 12,500 replays, so the cap decides the
+  // partition. uniform-k keeps the 100,007 replays cheap.
+  const Instance instance = random_instance(315, 8, 1.0, 1);
+  CampaignSpec spec;
+  spec.algorithms = {"caft"};
+  spec.sampler = SamplerSpec::uniform_k(1);
+  spec.replays = 10 * kMaxBlockReplays + 7;
+  spec.seed = 4243;
+  const CampaignSummary reference =
+      Session{}.evaluate(instance, spec).runs[0].summary;
+
+  SessionOptions options;
+  options.exec = ExecutionPolicy::subprocess(cli, 2);
+  const CampaignRun run = Session(options).evaluate(instance, spec).runs[0];
+  expect_summaries_identical(reference, run.summary);
+  EXPECT_EQ(run.telemetry.blocks, 11u);
+  EXPECT_GE(run.telemetry.fold_window_peak, 1u);
+  EXPECT_LE(run.telemetry.fold_window_peak, 4u);  // max(2 × 2, 4)
+}
+
+TEST(SessionSubprocess, EarlyStopOfALargeCampaignStopsWithinTheWindow) {
+  const std::string cli = cli_path();
+  if (cli.empty()) GTEST_SKIP() << "CAFT_CAMPAIGN_CLI not set (run via ctest)";
+
+  // A million-replay budget whose CI target a few hundred replays reach:
+  // the first folded block sets the stop, so at most the window's blocks
+  // (max(2 × 2, 4) = 4) of kMaxBlockReplays fold. Uncapped blocks would
+  // be 125,000 replays each. uniform-k keeps the replays cheap; one crash
+  // against ε = 1 always succeeds, with a latency that varies by crash.
+  const Instance instance = random_instance(316, 8, 1.0, 1);
+  CampaignSpec spec;
+  spec.algorithms = {"caft"};
+  spec.sampler = SamplerSpec::uniform_k(1);
+  spec.replays = 100 * kMaxBlockReplays;
+  spec.seed = 4244;
+  spec.target_ci_width = 0.15;
+
+  SessionOptions options;
+  options.exec = ExecutionPolicy::subprocess(cli, 2);
+  const CampaignRun run = Session(options).evaluate(instance, spec).runs[0];
+
+  const std::size_t folded = run.summary.replays;
+  EXPECT_GE(folded, kMaxBlockReplays);
+  EXPECT_LE(folded, 4 * kMaxBlockReplays);
+  EXPECT_EQ(folded % kMaxBlockReplays, 0u);
+  EXPECT_EQ(run.telemetry.blocks, folded / kMaxBlockReplays);
+  EXPECT_LE(run.telemetry.fold_window_peak, 4u);
+  EXPECT_GT(run.summary.latency.max(), run.summary.latency.min());
+  CampaignSpec prefix = spec;
+  prefix.replays = folded;
+  prefix.target_ci_width = 0.0;
   const CampaignSummary reference =
       Session{}.evaluate(instance, prefix).runs[0].summary;
   expect_summaries_identical(reference, run.summary);

@@ -1,12 +1,13 @@
 // Tests for the campaign executor's shared record memo and its θ-quantization
 // transform (campaign/campaign.cpp, run_replay_range):
 //
-//  - naive and incremental engines fold to byte-identical summaries across
-//    samplers and 1/2/4/8 worker threads while the memo answers repeats from
-//    earlier waves (memo hits are unobservable);
+//  - campaigns fold to summaries byte-identical to the simulate_crashes
+//    reference (tests/helpers.hpp) across samplers and 1/2/4/8 worker
+//    threads while the memo answers repeats from earlier waves (memo hits
+//    are unobservable);
 //  - θ-quantization is exactly the documented scenario transform: a bucketed
-//    campaign equals an exact naive campaign over draws snapped by hand,
-//    and drift shrinks with the bucket width;
+//    campaign equals the reference over draws snapped by hand, at any
+//    stream offset, and drift shrinks with the bucket width;
 //  - the memo counters are exact at every thread count and the memo stays
 //    under its entry cap over 10^6 replays (clear-on-threshold eviction).
 #include "campaign/campaign.hpp"
@@ -30,6 +31,7 @@ namespace {
 
 using test::Scenario;
 using test::random_setup;
+using test::snapped;
 
 Schedule caft_for(const Scenario& s, std::size_t eps) {
   CaftOptions options;
@@ -82,38 +84,11 @@ void expect_records_identical(const std::vector<ReplayRecord>& a,
   }
 }
 
-/// The documented quantization rule, written out independently of the
-/// executor: a finite positive crash time moves to its bucket midpoint.
-double snapped(double t, double width) {
-  if (!(t > 0.0) || std::isinf(t)) return t;
-  return (std::floor(t / width) + 0.5) * width;
-}
-
-/// Draws from `base`, then snaps every crash time by hand.
-class PreSnappedSampler final : public ScenarioSampler {
- public:
-  PreSnappedSampler(const ScenarioSampler& base, double width)
-      : base_(base), width_(width) {}
-
-  [[nodiscard]] std::string name() const override { return base_.name(); }
-  [[nodiscard]] std::size_t proc_count() const override {
-    return base_.proc_count();
-  }
-  void sample_into(Rng& rng, double* row) const override {
-    base_.sample_into(rng, row);
-    for (std::size_t p = 0; p < proc_count(); ++p)
-      row[p] = snapped(row[p], width_);
-  }
-
- private:
-  const ScenarioSampler& base_;
-  double width_;
-};
-
-TEST(CampaignRecordMemo, EnginesAgreeAcrossSamplersAndThreads) {
-  // naive vs incremental, across four scenario distributions and 1/2/4/8
-  // worker threads, with several waves so the record memo answers repeats
-  // from earlier waves: folded summaries byte-identical throughout.
+TEST(CampaignRecordMemo, MatchesReferenceAcrossSamplersAndThreads) {
+  // The executor vs the simulate_crashes reference, across four scenario
+  // distributions and 1/2/4/8 worker threads, with several waves so the
+  // record memo answers repeats from earlier waves: folded summaries
+  // byte-identical throughout.
   const Scenario s = random_setup(41, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const double horizon = schedule.horizon();
@@ -126,29 +101,25 @@ TEST(CampaignRecordMemo, EnginesAgreeAcrossSamplersAndThreads) {
   samplers.push_back(std::make_unique<CorrelatedGroupSampler>(
       8, 3, 0.4, 0.0, horizon * 0.5));
   for (const auto& sampler : samplers) {
-    CampaignOptions naive;
-    naive.replays = 400;
-    naive.block = 64;
-    naive.threads = 2;
-    naive.engine = CampaignEngine::kNaive;
+    CampaignOptions options;
+    options.replays = 400;
+    options.block = 64;
     const CampaignSummary reference =
-        run_campaign(schedule, *s.costs, *sampler, naive);
+        test::reference_summary(schedule, *s.costs, *sampler, options);
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-      CampaignOptions incremental = naive;
-      incremental.engine = CampaignEngine::kIncremental;
-      incremental.threads = threads;
+      options.threads = threads;
       expect_summaries_identical(
-          reference, run_campaign(schedule, *s.costs, *sampler, incremental),
+          reference, run_campaign(schedule, *s.costs, *sampler, options),
           sampler->name() + " threads " + std::to_string(threads));
     }
   }
 }
 
-TEST(CampaignQuantization, BucketedCampaignEqualsNaiveOverPreSnappedDraws) {
+TEST(CampaignQuantization, BucketedCampaignEqualsReferenceOverSnappedDraws) {
   // The quantization contract, verified literally: a bucketed campaign
-  // replays exactly the snapped scenarios, so its record stream equals an
-  // exact naive campaign over draws snapped by hand — record for record,
-  // across several waves (the record memo answers repeats).
+  // replays exactly the snapped scenarios, so its record stream equals the
+  // reference over draws snapped by hand — record for record, across
+  // several waves (the record memo answers repeats).
   const Scenario s = random_setup(47, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const double horizon = schedule.horizon();
@@ -165,33 +136,28 @@ TEST(CampaignQuantization, BucketedCampaignEqualsNaiveOverPreSnappedDraws) {
     bucketed.block = 64;
     bucketed.threads = 3;
     bucketed.theta_bucket_width = width;
-    CampaignOptions naive;
-    naive.block = 100;
-    naive.threads = 2;
-    naive.engine = CampaignEngine::kNaive;
-    const PreSnappedSampler snapped_sampler(*sampler, width);
     expect_records_identical(
-        run_campaign_block(schedule, *s.costs, snapped_sampler, naive, 0, 400),
+        test::reference_records(schedule, *s.costs, *sampler, bucketed.seed,
+                                0, 400, width),
         run_campaign_block(schedule, *s.costs, *sampler, bucketed, 0, 400),
         sampler->name());
   }
 }
 
-TEST(CampaignQuantization, NaiveAndIncrementalBucketedAreByteIdentical) {
-  // Quantization is a scenario transform, so the naive oracle sees the same
-  // snapped scenarios as the incremental engine.
+TEST(CampaignQuantization, BucketedBlockMidStreamEqualsReference) {
+  // A block that starts mid-stream (a subprocess worker's slice) snaps the
+  // same scenarios the reference draws at those indices.
   const Scenario s = random_setup(48, 8, 1.0);
   const Schedule schedule = caft_for(s, 1);
   const CrashWindowSampler sampler(8, 2, 0.0, schedule.horizon());
-  CampaignOptions incremental;
-  incremental.block = 64;
-  incremental.threads = 2;
-  incremental.theta_bucket_width = schedule.horizon() / 24.0;
-  CampaignOptions naive = incremental;
-  naive.engine = CampaignEngine::kNaive;
+  CampaignOptions bucketed;
+  bucketed.block = 64;
+  bucketed.threads = 2;
+  bucketed.theta_bucket_width = schedule.horizon() / 24.0;
   expect_records_identical(
-      run_campaign_block(schedule, *s.costs, sampler, naive, 0, 500),
-      run_campaign_block(schedule, *s.costs, sampler, incremental, 0, 500),
+      test::reference_records(schedule, *s.costs, sampler, bucketed.seed, 137,
+                              500, bucketed.theta_bucket_width),
+      run_campaign_block(schedule, *s.costs, sampler, bucketed, 137, 500),
       "records");
 }
 

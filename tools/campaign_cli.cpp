@@ -32,16 +32,11 @@
 /// --threads; 0 threads = auto) apply identically to every algorithm, so
 /// the comparison is paired: same scenario stream for each schedule.
 ///
-/// --engine naive|incremental (default incremental) picks the replay
-/// implementation: `incremental` is the prefix-cached ReplayEngine,
-/// `naive` re-simulates every scenario from t=0. Both produce bit-for-bit
-/// identical reports — the flag exists for A/B validation and benchmarks.
-///
 /// --theta-buckets N (default 0 = off) quantizes crash-at-θ scenarios:
 /// each finite positive crash time snaps to the midpoint of one of N
 /// buckets of the schedule horizon before the campaign groups, memoises
 /// and replays it — a deterministic approximation whose drift is bounded
-/// by the bucket width, identical under either engine. --theta-buckets 0
+/// by the bucket width. --theta-buckets 0
 /// keeps every replay bit-exact.
 /// Numeric/choice flags are validated strictly; malformed values abort
 /// with a clear error instead of silently falling back to defaults, and a
@@ -56,14 +51,12 @@
 /// byte-identical to in-process runs by construction. --worker-cmd names
 /// the worker binary (default: this binary).
 ///
-/// The subprocess coordinator folds worker records *streamingly* (PR 7):
-/// completed blocks enter a bounded reorder window and fold into the
-/// summary the moment they are next in canonical scenario order, so
-/// coordinator memory is O(--reorder-window × --block-replays) records
-/// regardless of --replays. --block-replays N sets the replays per worker
-/// block (0 = auto, ~4 blocks per worker); --reorder-window W caps the
-/// blocks past the fold frontier (0 = auto, max(2 × workers, 4)). Neither
-/// knob can change a report.
+/// The subprocess coordinator folds worker records *streamingly*: the
+/// campaign is cut into about 4 blocks per worker of at most 10,000
+/// replays, at most max(2 × workers, 4) blocks sit past the fold frontier
+/// at once, and each folds into the summary the moment it is next in
+/// canonical scenario order, so the coordinator buffers at most that
+/// window of blocks however they complete and however long the campaign.
 ///
 /// --target-ci-width W (off by default) stops the campaign early once the
 /// Wilson 95% CI around the folded prefix's success rate is at most W
@@ -132,8 +125,8 @@ int main(int argc, char** argv) {
       argc, argv,
       declare_flags({"help", "version", "worker", "progress", "in",
                      "instance-seed", "tasks", "granularity", "procs", "eps",
-                     "threads", "engine", "exec", "worker-cmd", "workers",
-                     "worker-threads", "block-replays", "reorder-window"},
+                     "threads", "exec", "worker-cmd", "workers",
+                     "worker-threads"},
                     {spec_flags(), observability_flags(), table_flags()}));
   // Explicitly requested help is a success, on stdout (the docs gate
   // probes it; see tools/check_docs.py).
@@ -190,14 +183,9 @@ int main(int argc, char** argv) {
     const std::size_t m = instance->proc_count();
     instance->set_eps(args.get_size("eps", 1));
 
-    // --- session: execution policy (threads, engine).
+    // --- session: execution policy (threads, backend).
     ftsched::SessionOptions session_options;
     session_options.threads = args.get_size("threads", 0);
-    session_options.engine =
-        args.get_choice("engine", "incremental", {"incremental", "naive"}) ==
-                "incremental"
-            ? CampaignEngine::kIncremental
-            : CampaignEngine::kNaive;
     // Process-parallel backend: fan blocks out to --workers copies of
     // --worker-cmd (default: this very binary) instead of running the
     // campaign in this process. Summaries are byte-identical either way.
@@ -207,12 +195,6 @@ int main(int argc, char** argv) {
           args.get("worker-cmd", argv[0]), args.get_size("workers", 2));
       session_options.exec.worker_threads =
           args.get_size("worker-threads", 1);
-      // Streaming-fold knobs: replays per worker block and how many blocks
-      // may sit past the fold frontier at once (coordinator memory is
-      // O(reorder-window × block-replays) records). 0 = auto for both.
-      session_options.exec.block_replays = args.get_size("block-replays", 0);
-      session_options.exec.reorder_window =
-          args.get_size("reorder-window", 0);
     }
     // One heartbeat shared across every campaign of this run, behind a
     // shared_ptr because std::function copies its callable: finish() below
@@ -236,12 +218,12 @@ int main(int argc, char** argv) {
     std::printf("instance: %zu tasks, %zu edges, m=%zu, eps=%zu\n",
                 instance->graph().task_count(),
                 instance->graph().edge_count(), m, instance->eps());
-    std::printf("campaign: %zu replays of %s, seed %llu, engine %s\n\n",
+    // "engine incremental" names the one replay engine; the line is kept
+    // as is so reports stay byte-stable.
+    std::printf("campaign: %zu replays of %s, seed %llu, engine incremental"
+                "\n\n",
                 spec.replays, sampler_name.c_str(),
-                static_cast<unsigned long long>(spec.seed),
-                session_options.engine == CampaignEngine::kIncremental
-                    ? "incremental"
-                    : "naive");
+                static_cast<unsigned long long>(spec.seed));
 
     // --- schedule each algorithm via the registry and run the campaigns.
     // One evaluate_schedule call per algorithm (rather than one

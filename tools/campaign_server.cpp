@@ -9,8 +9,7 @@
 /// Usage:
 ///   campaign_server [--listen ADDR] [--port N] [--cache-size N]
 ///                   [--max-inflight N] [--queue-limit N]
-///                   [--threads N] [--engine incremental|naive]
-///                   [--block N]
+///                   [--threads N] [--block N]
 ///                   [--metrics-out FILE] [--trace-out FILE] [--version]
 ///
 ///   --listen ADDR      interface to bind, IPv4 dotted quad (default
@@ -24,7 +23,7 @@
 ///                      rejects every request — drain/maintenance mode)
 ///   --queue-limit N    requests allowed to wait for a slot before an
 ///                      immediate busy rejection (default 8)
-///   --threads/--engine/--block
+///   --threads/--block
 ///                      the wrapped Session's execution knobs, exactly as
 ///                      campaign_cli takes them. Execution policy is
 ///                      in-process by design: byte-identity leans on
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
       argc, argv,
       ftsched::tools::declare_flags(
           {"help", "version", "listen", "port", "cache-size", "max-inflight",
-           "queue-limit", "threads", "engine", "block"},
+           "queue-limit", "threads", "block"},
           {ftsched::tools::observability_flags()}));
   if (args.has("help")) {
     std::printf("see the header of tools/campaign_server.cpp for usage\n");
@@ -81,11 +80,6 @@ int main(int argc, char** argv) {
     options.max_inflight = args.get_size("max-inflight", 2);
     options.queue_limit = args.get_size("queue-limit", 8);
     options.session.threads = args.get_size("threads", 0);
-    options.session.engine =
-        args.get_choice("engine", "incremental", {"incremental", "naive"}) ==
-                "incremental"
-            ? caft::CampaignEngine::kIncremental
-            : caft::CampaignEngine::kNaive;
     options.session.block = args.get_size("block", options.session.block);
 
     // Handlers go in before the listener opens and before the startup
